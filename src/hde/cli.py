@@ -9,9 +9,7 @@ machine-parsable line (`E_IO: ...`, `E_PARAM: ...`, `E_CONVERGENCE: ...`).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,13 +68,6 @@ def _load_dag(args):
     return build_dag(edges, dedup=getattr(args, "dedup", False))
 
 
-def _jobs(args):
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("HDE_JOBS")
-    return max(1, int(env)) if env else 1
-
-
 def _build_config(args, dag):
     sources = [args.threshold is not None, args.thresholds_file is not None,
                args.adaptive]
@@ -106,33 +97,21 @@ def _build_config(args, dag):
                      descendant_mode=mode, literal_topdown=args.literal_topdown)
 
 
-def _correct_rows(dag, levels, values, args, config):
-    method = args.method
-    if method == "htd":
-        fn = lambda block: htd_correct_matrix(dag, levels, block)
-    elif method == "iso-tpr":
-        fn = lambda block: iso_tpr_correct_matrix(
-            dag, levels, block, config, on_flat=args.iso_on_flat)
-    else:
-        fn = lambda block: tpr_correct_matrix(dag, levels, block, config)
-
-    jobs = _jobs(args)
-    if jobs == 1 or values.shape[0] < 2 * jobs:
-        return fn(values)
-    chunks = np.array_split(values, jobs, axis=0)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(fn, chunks))
-    return np.vstack(parts)
-
-
 def cmd_correct(args) -> int:
+    if args.digits is not None and args.digits < 0:
+        raise _ParamError("--digits must be >= 0")
     dag = _load_dag(args)
     levels = compute_levels(dag)
     matrix = align_to_dag(read_scores(args.scores), dag)
-    config = None
-    if args.method != "htd":
-        config = _build_config(args, dag)
-    corrected = _correct_rows(dag, levels, matrix.values, args, config)
+    if args.method == "htd":
+        corrected = htd_correct_matrix(dag, levels, matrix.values)
+    elif args.method == "iso-tpr":
+        corrected = iso_tpr_correct_matrix(dag, levels, matrix.values,
+                                           _build_config(args, dag),
+                                           on_flat=args.iso_on_flat)
+    else:
+        corrected = tpr_correct_matrix(dag, levels, matrix.values,
+                                       _build_config(args, dag))
     comments = list(matrix.comments)
     if dag.synthetic_root_flag:
         comments.append(f"synthetic root '{dag.root}' column included")
@@ -271,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="project the flat scores instead of the bottom-up output")
     sp.add_argument("--digits", type=int, default=None,
                     help="decimal places in the output (default: full precision)")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="row-parallel workers (env HDE_JOBS)")
     sp.set_defaults(func=cmd_correct)
 
     sp = sub.add_parser("levels", help="max root distance of every node")

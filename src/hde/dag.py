@@ -10,6 +10,9 @@ ancestor of a node sits on a strictly smaller level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     CycleError,
@@ -37,6 +40,7 @@ class Dag:
     __slots__ = (
         "nodes", "edges", "root", "synthetic_root_flag",
         "_index", "_children", "_parents", "_anc_cache", "_desc_cache",
+        "_edge_arrays",
     )
 
     def __init__(self, nodes, edges, root, synthetic_root_flag):
@@ -54,6 +58,7 @@ class Dag:
         self._parents = {n: tuple(v) for n, v in parents.items()}
         self._anc_cache = {}
         self._desc_cache = {}
+        self._edge_arrays = None  # filled by scores.edge_index_arrays
 
     def __len__(self):
         return len(self.nodes)
@@ -144,6 +149,134 @@ class LevelMap:
     dist: dict = field(compare=False)
     levels: dict = field(compare=False)
     max_level: int = 0
+
+    @cached_property
+    def plan(self) -> LevelPlan:
+        """The levels compiled into index arrays; built on first use."""
+        return LevelPlan(self)
+
+
+class LevelPlan:
+    """Integer index arrays of every level, shared by all correction passes.
+
+    `down` holds, for levels 1..max_level, (nodes, parents, offsets): the
+    level's node indices, their parents' indices concatenated in node order,
+    and where each node's run of parents starts (`reduceat` offsets).
+    `up` holds blocks (nodes (nb,), children (nb, k), None), deepest level
+    first: the nodes of one level with exactly k children each, children
+    in edge order.  Exact counts keep every per-node sum the same length,
+    and so the same rounding, as a loop over single nodes.
+    """
+
+    def __init__(self, levels: LevelMap):
+        from .scores import edge_index_arrays  # scores imports this module
+
+        dag = levels.dag
+        self._levels = levels
+        n = len(dag)
+        self._node_level = level = np.fromiter(
+            (levels.dist[m] for m in dag.nodes), dtype=np.intp, count=n)
+        pi, ci = edge_index_arrays(dag)
+        # nodes by (level, index); edges by (child level, child, edge order)
+        nodes = np.argsort(level, kind="stable")
+        by_child = np.lexsort((ci, level[ci]))
+        parents = pi[by_child]
+        node_at = np.searchsorted(level[nodes], np.arange(levels.max_level + 2))
+        edge_at = np.searchsorted(level[ci[by_child]],
+                                  np.arange(levels.max_level + 2))
+        indeg = np.bincount(ci, minlength=n)
+        self.down = []
+        for d in range(1, levels.max_level + 1):
+            ni = nodes[node_at[d]:node_at[d + 1]]
+            self.down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
+                              np.cumsum(indeg[ni]) - indeg[ni]))
+        inner = level[pi] > 0  # the root is never blended
+        self.up = _count_blocks(level, pi[inner], ci[inner], None)
+
+    @cached_property
+    def descendants(self) -> list:
+        """`up` with descendants instead of children, built on first use.
+
+        Each block is (nodes (nb,), descendants (nb, k), weights (nb, k)):
+        descendants in node order, weighted (d_max - dist + 1) / d_max,
+        where dist is the longest node-to-descendant path and d_max the
+        largest such dist of the node.
+        """
+        levels = self._levels
+        dag = levels.dag
+        ix = dag._index
+        # longest path from each node to each of its descendants, merged
+        # from the children's maps in one sweep in reverse topological
+        # (deepest level first) order; a map is dropped once every parent
+        # has merged it
+        reach = {}
+        pending = {n: len(ps) for n, ps in dag._parents.items()}
+        blocks = []
+        for d in range(levels.max_level, 0, -1):
+            owners, members, lengths, longest = [], [], [], []
+            for n in levels.levels[d]:
+                far = {}
+                for c in dag._children[n]:
+                    far.setdefault(ix[c], 1)
+                    for m, dist in reach[c].items():
+                        if dist + 1 > far.get(m, 0):
+                            far[m] = dist + 1
+                    pending[c] -= 1
+                    if not pending[c]:
+                        del reach[c]
+                reach[n] = far
+                desc = sorted(far)
+                owners += [ix[n]] * len(desc)
+                members += desc
+                lengths += [far[m] for m in desc]
+                longest += [max(far.values(), default=0)] * len(desc)
+            d_max, dist = np.array(longest), np.array(lengths)
+            blocks += _count_blocks(
+                self._node_level, np.array(owners, dtype=np.intp),
+                np.array(members, dtype=np.intp), (d_max - dist + 1) / d_max)
+        return blocks
+
+    def topdown(self, ref: np.ndarray) -> np.ndarray:
+        """Top-down sweep: out = min(ref, min over parents of out).
+
+        Level by level from the root, so every parent is final before its
+        children; the root keeps its `ref` score.  HTD is topdown(flat),
+        TPR's last phase topdown(bottom-up output).
+        """
+        out = ref.copy()
+        for nodes, parents, offsets in self.down:
+            out[:, nodes] = np.minimum(
+                ref[:, nodes],
+                np.minimum.reduceat(out[:, parents], offsets, axis=1))
+        return out
+
+
+def _count_blocks(level, owner, member, weight):
+    """Blocks (nodes, members (nb, k), weights (nb, k) or None), deepest
+    level first, each holding one level's owners of exactly k members.
+
+    Members keep their given order within each owner.  A block holds at
+    most max(1, n_nodes // k) owners, so a gather over one block is no
+    larger than a gather over a whole score row.
+    """
+    n_nodes = len(level)
+    count = np.bincount(owner, minlength=n_nodes)
+    order = np.lexsort((owner, count[owner], -level[owner]))
+    owner, member = owner[order], member[order]
+    if weight is not None:
+        weight = weight[order]
+    key = level[owner] * n_nodes + count[owner]
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    blocks = []
+    for s, e in zip(starts, starts[1:] + [len(owner)]):
+        k = int(count[owner[s]])
+        step = max(1, n_nodes // k) * k
+        for a in range(s, e, step):
+            b = min(a + step, e)
+            blocks.append((owner[a:b:k].copy(), member[a:b].reshape(-1, k),
+                           None if weight is None
+                           else weight[a:b].reshape(-1, k)))
+    return blocks
 
 
 def relatives(dag: Dag, node: str, kind: str):

@@ -27,13 +27,7 @@ def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarr
     """
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
-    out = flat.copy()
-    for d in range(1, levels.max_level + 1):
-        for n in levels.levels[d]:
-            i = dag.index(n)
-            pidx = [dag.index(p) for p in dag.parents(n)]
-            np.minimum(flat[:, i], out[:, pidx].min(axis=1), out=out[:, i])
-    return out
+    return levels.plan.topdown(flat)
 
 
 def htd_correct(dag: Dag, levels: LevelMap, flat) -> np.ndarray:

@@ -114,23 +114,31 @@ def check_valid_continuous(dag: Dag, row, eps: float = 0.0) -> ViolationReport:
     if row.shape != (len(dag),):
         raise AlignmentError(
             f"row has {row.shape} values for a {len(dag)}-node taxonomy")
+    pi, ci = edge_index_arrays(dag)
     bad = []
     max_gap = 0.0
-    for p, c in dag.edges:
-        ps, cs = row[dag.index(p)], row[dag.index(c)]
-        if cs > ps + eps:
-            bad.append((p, c, float(ps), float(cs)))
-            max_gap = max(max_gap, float(cs - ps))
+    for k in np.flatnonzero(row[ci] > row[pi] + eps):
+        p, c = dag.edges[k]
+        ps, cs = row[pi[k]], row[ci[k]]
+        bad.append((p, c, float(ps), float(cs)))
+        max_gap = max(max_gap, float(cs - ps))
     return ViolationReport(tuple(bad), len(bad), max_gap)
 
 
 def edge_index_arrays(dag: Dag):
-    """(parent_indices, child_indices) int arrays, one entry per edge."""
-    pi = np.fromiter((dag.index(p) for p, _ in dag.edges), dtype=np.intp,
-                     count=len(dag.edges))
-    ci = np.fromiter((dag.index(c) for _, c in dag.edges), dtype=np.intp,
-                     count=len(dag.edges))
-    return pi, ci
+    """(parent_indices, child_indices) int arrays, one entry per edge.
+
+    Built once per Dag and shared, so the arrays are read-only.
+    """
+    if dag._edge_arrays is None:
+        pi = np.fromiter((dag.index(p) for p, _ in dag.edges),
+                         dtype=np.intp, count=len(dag.edges))
+        ci = np.fromiter((dag.index(c) for _, c in dag.edges),
+                         dtype=np.intp, count=len(dag.edges))
+        pi.flags.writeable = False
+        ci.flags.writeable = False
+        dag._edge_arrays = (pi, ci)
+    return dag._edge_arrays
 
 
 def count_violations(dag: Dag, values: np.ndarray, eps: float = 0.0) -> int:

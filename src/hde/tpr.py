@@ -77,94 +77,64 @@ def positive_children(dag: Dag, node: str, current, flat, config: TprConfig):
     return tuple(out)
 
 
-def _sub_dag_distances(dag: Dag, node: str):
-    """Longest-path distance from `node` to each of its descendants."""
-    desc = set(dag.descendants(node))
-    dist = {node: 0}
-    for n in dag.topological_order():
-        if n not in desc:
-            continue
-        dist[n] = 1 + max(dist[p] for p in dag.parents(n) if p in dist)
-    del dist[node]
-    return dist
+def _check_thresholds(dag: Dag, config: TprConfig):
+    if config.thresholds is not None and config.thresholds.shape != (len(dag),):
+        raise AlignmentError("threshold vector not aligned with the taxonomy")
 
 
 def _bottom_up_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
                       config: TprConfig) -> np.ndarray:
-    """Phase B over a whole matrix; root row values are left untouched."""
-    cfg = config
-    if cfg.thresholds is not None and cfg.thresholds.shape != (len(dag),):
-        raise AlignmentError("threshold vector not aligned with the taxonomy")
-    out = flat.copy()
-    t = cfg.thresholds
-    for d in range(levels.max_level, 0, -1):
-        for n in levels.levels[d]:
-            i = dag.index(n)
-            if cfg.descendant_mode == "children":
-                members = dag.children(n)
-                weights = None
-            else:
-                members = dag.descendants(n)
-                if cfg.descendant_mode == "descendants-linear" and members:
-                    dists = _sub_dag_distances(dag, n)
-                    d_max = max(dists.values())
-                    weights = np.array(
-                        [(d_max - dists[m] + 1) / d_max for m in members])
-                else:
-                    weights = None
-            if not members:
-                continue
-            midx = [dag.index(m) for m in members]
-            vals = out[:, midx]
-            if cfg.positive_selection == "threshold":
-                mask = vals > t[midx]
-            else:
-                mask = vals > flat[:, [i]]
-            if weights is None:
-                wsum = mask.sum(axis=1)
-                vsum = np.where(mask, vals, 0.0).sum(axis=1)
-            else:
-                wsum = (mask * weights).sum(axis=1)
-                vsum = (np.where(mask, vals, 0.0) * weights).sum(axis=1)
-            if cfg.w is None:
-                out[:, i] = (flat[:, i] + vsum) / (1.0 + wsum)
-            else:
-                # empty positive set: the children term vanishes entirely
-                safe = np.where(wsum > 0, wsum, 1.0)
-                out[:, i] = np.where(
-                    wsum > 0,
-                    cfg.w * flat[:, i] + (1.0 - cfg.w) * vsum / safe,
-                    flat[:, i])
-    return out
+    """Phase B over a whole matrix; root row values are left untouched.
 
-
-def _topdown_matrix(dag: Dag, levels: LevelMap, base: np.ndarray,
-                    flat: np.ndarray, literal: bool) -> np.ndarray:
-    """Phase C: top-down consistency sweep over the phase-B values `base`.
-
-    The literal variant compares and reassigns against the flat scores,
-    which discards the bottom-up work; kept for regression comparison.
+    One gather per block of same-level nodes with equally many members
+    (children or descendants, per the level plan), so each node's sums run
+    over exactly its own members.
     """
-    out = base.copy()
-    ri = dag.index(dag.root)
-    out[:, ri] = flat[:, ri]
-    for d in range(1, levels.max_level + 1):
-        for n in levels.levels[d]:
-            i = dag.index(n)
-            pidx = [dag.index(p) for p in dag.parents(n)]
-            pmin = out[:, pidx].min(axis=1)
-            ref = flat[:, i] if literal else base[:, i]
-            np.minimum(ref, pmin, out=out[:, i])
+    cfg = config
+    _check_thresholds(dag, cfg)
+    plan = levels.plan
+    up = plan.up if cfg.descendant_mode == "children" else plan.descendants
+    linear = cfg.descendant_mode == "descendants-linear"
+    t = cfg.thresholds
+    out = flat.copy()
+    for ni, midx, weights in up:
+        vals = out[:, midx]  # rows x nodes x members
+        if cfg.positive_selection == "threshold":
+            mask = vals > t[midx]
+        else:
+            mask = vals > flat[:, ni, None]
+        if not linear:
+            wsum = mask.sum(axis=2)
+            vsum = np.where(mask, vals, 0.0).sum(axis=2)
+        else:
+            wsum = (mask * weights).sum(axis=2)
+            vsum = (np.where(mask, vals, 0.0) * weights).sum(axis=2)
+        if cfg.w is None:
+            out[:, ni] = (flat[:, ni] + vsum) / (1.0 + wsum)
+        else:
+            # empty positive set: the children term vanishes entirely
+            safe = np.where(wsum > 0, wsum, 1.0)
+            out[:, ni] = np.where(
+                wsum > 0,
+                cfg.w * flat[:, ni] + (1.0 - cfg.w) * vsum / safe,
+                flat[:, ni])
     return out
 
 
 def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
                        config: TprConfig) -> np.ndarray:
-    """Full TPR correction (any variant, per `config`) of a score matrix."""
+    """Full TPR correction (any variant, per `config`) of a score matrix.
+
+    Phase C is the HTD sweep applied to the phase-B values.  The
+    pseudocode-literal variant compares against the flat scores instead,
+    which discards phase B and is exactly HTD.
+    """
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
-    b = _bottom_up_matrix(dag, levels, flat, config)
-    return _topdown_matrix(dag, levels, b, flat, config.literal_topdown)
+    if config.literal_topdown:
+        _check_thresholds(dag, config)
+        return levels.plan.topdown(flat)
+    return levels.plan.topdown(_bottom_up_matrix(dag, levels, flat, config))
 
 
 def _as_row(dag, levels, flat, config):

@@ -1,0 +1,93 @@
+"""Per-node reference loops for the level-plan kernels.
+
+These are the original node-at-a-time HTD, TPR bottom-up and TPR top-down
+passes.  They visit one node per step and gather its parents, children or
+descendants by name, so they are slow but plainly follow the algorithm;
+`test_plan.py` requires the compiled kernels to match them bit for bit.
+"""
+
+import numpy as np
+
+
+def htd_matrix(dag, levels, flat):
+    out = flat.copy()
+    for d in range(1, levels.max_level + 1):
+        for n in levels.levels[d]:
+            i = dag.index(n)
+            pidx = [dag.index(p) for p in dag.parents(n)]
+            np.minimum(flat[:, i], out[:, pidx].min(axis=1), out=out[:, i])
+    return out
+
+
+def sub_dag_distances(dag, node):
+    """Longest-path distance from `node` to each of its descendants."""
+    desc = set(dag.descendants(node))
+    dist = {node: 0}
+    for n in dag.topological_order():
+        if n not in desc:
+            continue
+        dist[n] = 1 + max(dist[p] for p in dag.parents(n) if p in dist)
+    del dist[node]
+    return dist
+
+
+def bottom_up_matrix(dag, levels, flat, cfg):
+    out = flat.copy()
+    t = cfg.thresholds
+    for d in range(levels.max_level, 0, -1):
+        for n in levels.levels[d]:
+            i = dag.index(n)
+            if cfg.descendant_mode == "children":
+                members = dag.children(n)
+                weights = None
+            else:
+                members = dag.descendants(n)
+                if cfg.descendant_mode == "descendants-linear" and members:
+                    dists = sub_dag_distances(dag, n)
+                    d_max = max(dists.values())
+                    weights = np.array(
+                        [(d_max - dists[m] + 1) / d_max for m in members])
+                else:
+                    weights = None
+            if not members:
+                continue
+            midx = [dag.index(m) for m in members]
+            vals = out[:, midx]
+            if cfg.positive_selection == "threshold":
+                mask = vals > t[midx]
+            else:
+                mask = vals > flat[:, [i]]
+            if weights is None:
+                wsum = mask.sum(axis=1)
+                vsum = np.where(mask, vals, 0.0).sum(axis=1)
+            else:
+                wsum = (mask * weights).sum(axis=1)
+                vsum = (np.where(mask, vals, 0.0) * weights).sum(axis=1)
+            if cfg.w is None:
+                out[:, i] = (flat[:, i] + vsum) / (1.0 + wsum)
+            else:
+                safe = np.where(wsum > 0, wsum, 1.0)
+                out[:, i] = np.where(
+                    wsum > 0,
+                    cfg.w * flat[:, i] + (1.0 - cfg.w) * vsum / safe,
+                    flat[:, i])
+    return out
+
+
+def topdown_matrix(dag, levels, base, flat, literal):
+    out = base.copy()
+    ri = dag.index(dag.root)
+    out[:, ri] = flat[:, ri]
+    for d in range(1, levels.max_level + 1):
+        for n in levels.levels[d]:
+            i = dag.index(n)
+            pidx = [dag.index(p) for p in dag.parents(n)]
+            pmin = out[:, pidx].min(axis=1)
+            ref = flat[:, i] if literal else base[:, i]
+            np.minimum(ref, pmin, out=out[:, i])
+    return out
+
+
+def tpr_matrix(dag, levels, flat, cfg):
+    b = bottom_up_matrix(dag, levels, flat, cfg)
+    return topdown_matrix(dag, levels, b, flat, cfg.literal_topdown)

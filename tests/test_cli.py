@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hde import read_scores, read_thresholds
@@ -64,21 +63,6 @@ class TestCorrect:
                 "-o", out)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_preserve_row_order(self, fx, tmp_path):
-        rng = np.random.default_rng(9)
-        lines = ["example\tr\ta\tb\tc"]
-        for i in range(23):
-            lines.append(f"e{i}\t" + "\t".join(f"{v:.6f}"
-                                               for v in rng.uniform(size=4)))
-        big = tmp_path / "big.tsv"
-        big.write_text("\n".join(lines) + "\n")
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        run("correct", "--dag", fx / "dag.tsv", "--scores", big,
-            "--method", "htd", "--jobs", "1", "-o", a)
-        run("correct", "--dag", fx / "dag.tsv", "--scores", big,
-            "--method", "htd", "--jobs", "4", "-o", b)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_correct_then_validate_is_clean(self, fx):
         out = fx / "out.tsv"
         for method, extra in (("htd", []),
@@ -125,6 +109,12 @@ class TestCorrect:
         data_lines = [l for l in out.read_text().splitlines()
                       if not l.startswith(("#", "example"))]
         assert data_lines[0].split("\t")[1:] == ["0.90", "0.50", "0.70", "0.50"]
+
+    def test_negative_digits_is_param_error(self, fx, capsys):
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "htd", "--digits", "-1")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
 
     def test_literal_topdown_equals_htd(self, fx):
         a, b = fx / "a.tsv", fx / "b.tsv"
