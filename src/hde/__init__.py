@@ -63,11 +63,4 @@ from .thresholds import (
     read_thresholds,
     write_thresholds,
 )
-from .tpr import (
-    TprConfig,
-    positive_children,
-    tpr_correct,
-    tpr_correct_matrix,
-    tpr_desc_correct,
-    tpr_w_correct,
-)
+from .tpr import TprConfig, positive_children, tpr_correct, tpr_correct_matrix

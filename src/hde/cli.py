@@ -42,6 +42,7 @@ from .thresholds import (
 from .tpr import TprConfig, tpr_correct_matrix
 
 METHODS = ("htd", "tpr", "tpr-w", "tpr-desc-const", "tpr-desc-lin", "iso-tpr")
+MAX_GRID_STEPS = 10 ** 6
 
 
 class _ParamError(HdeError):
@@ -88,26 +89,26 @@ def _build_config(args, dag):
                           "or --adaptive")
     mode = {"tpr-desc-const": "descendants-constant",
             "tpr-desc-lin": "descendants-linear"}.get(args.method, "children")
-    w = None
-    if args.method == "tpr-w":
-        if args.w is None:
-            raise _ParamError("--method tpr-w requires --w")
-        w = args.w
-    return TprConfig(positive_selection=selection, thresholds=t, w=w,
-                     descendant_mode=mode, literal_topdown=args.literal_topdown)
+    return TprConfig(positive_selection=selection, thresholds=t, w=args.w,
+                     descendant_mode=mode)
 
 
 def cmd_correct(args) -> int:
     if args.digits is not None and args.digits < 0:
         raise _ParamError("--digits must be >= 0")
+    if (args.w is not None) != (args.method == "tpr-w"):
+        raise _ParamError("--w is required by, and only used by, "
+                          "--method tpr-w")
+    if args.iso_on_flat and args.method != "iso-tpr":
+        raise _ParamError("--iso-on-flat is only used by --method iso-tpr")
     dag = _load_dag(args)
     levels = compute_levels(dag)
     matrix = align_to_dag(read_scores(args.scores), dag)
     if args.method == "htd":
         corrected = htd_correct_matrix(dag, levels, matrix.values)
     elif args.method == "iso-tpr":
-        corrected = iso_tpr_correct_matrix(dag, levels, matrix.values,
-                                           _build_config(args, dag),
+        config = None if args.iso_on_flat else _build_config(args, dag)
+        corrected = iso_tpr_correct_matrix(dag, levels, matrix.values, config,
                                            on_flat=args.iso_on_flat)
     else:
         corrected = tpr_correct_matrix(dag, levels, matrix.values,
@@ -133,6 +134,8 @@ def cmd_levels(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not np.isfinite(args.eps):
+        raise _ParamError("--eps must be finite")
     dag = _load_dag(args)
     matrix = align_to_dag(read_scores(args.scores), dag)
     any_bad = False
@@ -205,9 +208,14 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise _ParamError("--grid must be 'start:stop:step'") from None
+    if not np.isfinite([start, stop, step]).all():
+        raise _ParamError("--grid parts must be finite")
     if step <= 0 or stop < start:
         raise _ParamError("--grid must satisfy start <= stop, step > 0")
-    n = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # inf when stop - start overflows
+    if steps > MAX_GRID_STEPS:
+        raise _ParamError(f"--grid has more than {MAX_GRID_STEPS} steps")
+    n = int(round(steps)) + 1
     grid = start + step * np.arange(n)
     grid = grid[(grid >= 0.0) & (grid <= 1.0 + 1e-12)]
     if grid.size == 0:
@@ -243,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="threshold-free positive-child selection")
     sp.add_argument("--w", type=float, default=None,
                     help="flat-score weight for --method tpr-w")
-    sp.add_argument("--literal-topdown", action="store_true",
-                    help="top-down pass compares against flat scores "
-                         "(pseudocode-literal variant)")
     sp.add_argument("--iso-on-flat", action="store_true",
                     help="project the flat scores instead of the bottom-up output")
     sp.add_argument("--digits", type=int, default=None,

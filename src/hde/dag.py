@@ -58,7 +58,7 @@ class Dag:
         self._parents = {n: tuple(v) for n, v in parents.items()}
         self._anc_cache = {}
         self._desc_cache = {}
-        self._edge_arrays = None  # filled by scores.edge_index_arrays
+        self._edge_arrays = None  # filled by edge_index_arrays
 
     def __len__(self):
         return len(self.nodes)
@@ -121,18 +121,35 @@ class Dag:
         return result
 
     def topological_order(self):
-        """Node indices in a topological order (parents before children)."""
+        """Nodes in a topological order (parents before children).
+
+        Kahn's algorithm, first in first out.  On a cyclic graph the nodes
+        on or below a cycle are missing from the result.
+        """
         indeg = {n: len(self._parents[n]) for n in self.nodes}
-        ready = [n for n in self.nodes if indeg[n] == 0]
-        order = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
+        order = [n for n in self.nodes if indeg[n] == 0]
+        for n in order:  # the list grows while it is walked
             for c in self._children[n]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
+                    order.append(c)
         return order
+
+
+def edge_index_arrays(dag: Dag):
+    """(parent_indices, child_indices) int arrays, one entry per edge.
+
+    Built once per Dag and shared, so the arrays are read-only.
+    """
+    if dag._edge_arrays is None:
+        pi = np.fromiter((dag.index(p) for p, _ in dag.edges),
+                         dtype=np.intp, count=len(dag.edges))
+        ci = np.fromiter((dag.index(c) for _, c in dag.edges),
+                         dtype=np.intp, count=len(dag.edges))
+        pi.flags.writeable = False
+        ci.flags.writeable = False
+        dag._edge_arrays = (pi, ci)
+    return dag._edge_arrays
 
 
 @dataclass(frozen=True)
@@ -169,8 +186,6 @@ class LevelPlan:
     """
 
     def __init__(self, levels: LevelMap):
-        from .scores import edge_index_arrays  # scores imports this module
-
         dag = levels.dag
         self._levels = levels
         n = len(dag)
@@ -353,34 +368,14 @@ def build_dag(edges, dedup: bool = False) -> Dag:
             # round-trip of a previously augmented graph
             synthetic = True
 
-    cycle = _check_acyclic(nodes, edges)
-    if cycle is not None:
-        raise CycleError(cycle)
-
-    return Dag(nodes, edges, root, synthetic)
-
-
-def _check_acyclic(nodes, edges):
-    """Kahn pass; returns one cycle (list of ids, first == last) or None."""
-    indeg = {n: 0 for n in nodes}
-    children = {n: [] for n in nodes}
-    for p, c in edges:
-        indeg[c] += 1
-        children[p].append(c)
-    ready = [n for n in nodes if indeg[n] == 0]
-    done = 0
-    while ready:
-        n = ready.pop()
-        done += 1
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    if done == len(nodes):
-        return None
-    remaining = [n for n in nodes if indeg[n] > 0]
-    return _find_cycle(remaining, [(p, c) for p, c in edges
-                                   if indeg.get(p, 0) > 0 and indeg[c] > 0])
+    dag = Dag(nodes, edges, root, synthetic)
+    order = dag.topological_order()
+    if len(order) < len(nodes):
+        done = set(order)
+        remaining = [n for n in nodes if n not in done]
+        raise CycleError(_find_cycle(remaining, [
+            (p, c) for p, c in edges if p not in done and c not in done]))
+    return dag
 
 
 def _find_cycle(nodes, edges):

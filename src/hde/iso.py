@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .dag import Dag, LevelMap
-from .errors import AlignmentError, ConvergenceError
+from .dag import Dag, LevelMap, edge_index_arrays
+from .errors import AlignmentError
 from .htd import _check_aligned
-from .scores import edge_index_arrays
 from .tpr import TprConfig, _bottom_up_matrix
-
-SOLVERS = ("exact", "dykstra")
 
 
 @dataclass(frozen=True)
@@ -28,7 +25,7 @@ class IsoSolution:
 
     `objective` is the squared distance to the projection input;
     `residual` the worst edge violation before [0, 1] clamping;
-    `iterations` the number of solver sweeps (1 for the direct solver).
+    `iterations` the number of solves (1, or 0 for an edgeless taxonomy).
     """
 
     values: np.ndarray
@@ -37,97 +34,55 @@ class IsoSolution:
     residual: float
 
 
-def _project_exact(dag: Dag, z: np.ndarray):
-    """Direct active-set solve via the dual.
+def isotonic_project(dag: Dag, z) -> IsoSolution:
+    """Euclidean projection of a score row onto the hierarchy-consistent set.
 
-    With A holding one row e_child - e_parent per edge, the projection of z
-    onto {y : Ay <= 0} is y = z - A'lam where lam >= 0 minimizes
-    ||A'lam - z||, a plain non-negative least-squares problem.
+    Exact active-set solve via the dual: with A holding one row
+    e_child - e_parent per edge, the projection of z onto {y : Ay <= 0} is
+    y = z - A'lam where lam >= 0 minimizes ||A'lam - z||, a plain
+    non-negative least-squares problem.
     """
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (len(dag),):
+        raise AlignmentError(
+            f"row has {z.shape} values for a {len(dag)}-node taxonomy")
+    if not dag.edges:
+        return IsoSolution(z.copy(), 0.0, 0, 0.0)
     pi, ci = edge_index_arrays(dag)
     n, m = len(dag), len(dag.edges)
     at = np.zeros((n, m))
     at[ci, np.arange(m)] = 1.0
     at[pi, np.arange(m)] -= 1.0
     lam, _ = nnls(at, z)
-    return z - at @ lam, 1
-
-
-def _project_dykstra(dag: Dag, z: np.ndarray, tol: float, max_sweeps: int):
-    """Cyclic projections onto the edge half-spaces with Dykstra corrections.
-
-    Exact in the limit for intersections of half-spaces.  A violated edge
-    (p, c) is fixed by moving both endpoints to their midpoint, after adding
-    back the edge's correction term from the previous cycle.
-    """
-    pi, ci = edge_index_arrays(dag)
-    m = len(pi)
-    y = z.astype(np.float64).copy()
-    corr = np.zeros(m)
-    for sweep in range(1, max_sweeps + 1):
-        delta = 0.0
-        for k in range(m):
-            p, c = pi[k], ci[k]
-            # re-add this edge's correction from the previous cycle
-            yp = y[p] - corr[k]
-            yc = y[c] + corr[k]
-            if yc > yp:
-                shift = 0.5 * (yc - yp)
-                new_p, new_c = yp + shift, yc - shift
-                corr[k] = shift
-            else:
-                new_p, new_c = yp, yc
-                corr[k] = 0.0
-            delta = max(delta, abs(new_p - y[p]), abs(new_c - y[c]))
-            y[p], y[c] = new_p, new_c
-        if delta <= tol and (y[ci] - y[pi]).max(initial=0.0) <= tol:
-            return y, sweep
-    raise ConvergenceError(
-        f"Dykstra projection did not reach tol={tol} in {max_sweeps} sweeps")
-
-
-def isotonic_project(dag: Dag, z, solver: str = "exact", tol: float = 1e-10,
-                     max_sweeps: int = 100000) -> IsoSolution:
-    """Euclidean projection of a score row onto the hierarchy-consistent set."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (len(dag),):
-        raise AlignmentError(
-            f"row has {z.shape} values for a {len(dag)}-node taxonomy")
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}")
-    if not dag.edges:
-        return IsoSolution(z.copy(), 0.0, 0, 0.0)
-    if solver == "exact":
-        y, sweeps = _project_exact(dag, z)
-    else:
-        y, sweeps = _project_dykstra(dag, z, tol, max_sweeps)
-    pi, ci = edge_index_arrays(dag)
+    y = z - at @ lam
     residual = float(max(0.0, (y[ci] - y[pi]).max()))
     objective = float(((z - y) ** 2).sum())
-    return IsoSolution(np.clip(y, 0.0, 1.0), objective, sweeps, residual)
+    return IsoSolution(np.clip(y, 0.0, 1.0), objective, 1, residual)
 
 
-def iso_tpr_correct(dag: Dag, levels: LevelMap, flat, config: TprConfig,
-                    on_flat: bool = False, solver: str = "exact") -> np.ndarray:
+def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
+                    config: TprConfig | None,
+                    on_flat: bool = False) -> np.ndarray:
     """Bottom-up TPR pass, then isotonic projection of the result.
 
     With `on_flat` the projection input is the flat row itself instead of
-    the bottom-up output (the two readings of the algorithm's final step).
+    the bottom-up output (the two readings of the algorithm's final step);
+    `config` is then unused.
     """
     flat = np.asarray(flat, dtype=np.float64)
     if flat.ndim != 1:
         raise AlignmentError("expected a 1-D score row")
     return iso_tpr_correct_matrix(dag, levels, flat[None, :], config,
-                                  on_flat=on_flat, solver=solver)[0]
+                                  on_flat=on_flat)[0]
 
 
 def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
-                           config: TprConfig, on_flat: bool = False,
-                           solver: str = "exact") -> np.ndarray:
+                           config: TprConfig | None,
+                           on_flat: bool = False) -> np.ndarray:
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
     base = flat if on_flat else _bottom_up_matrix(dag, levels, flat, config)
     out = np.empty_like(base)
     for r in range(base.shape[0]):
-        out[r] = isotonic_project(dag, base[r], solver=solver).values
+        out[r] = isotonic_project(dag, base[r]).values
     return out

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import Dag
+from .dag import Dag, edge_index_arrays
 from .errors import (
     AlignmentError,
     MissingClassError,
@@ -123,22 +123,6 @@ def check_valid_continuous(dag: Dag, row, eps: float = 0.0) -> ViolationReport:
         bad.append((p, c, float(ps), float(cs)))
         max_gap = max(max_gap, float(cs - ps))
     return ViolationReport(tuple(bad), len(bad), max_gap)
-
-
-def edge_index_arrays(dag: Dag):
-    """(parent_indices, child_indices) int arrays, one entry per edge.
-
-    Built once per Dag and shared, so the arrays are read-only.
-    """
-    if dag._edge_arrays is None:
-        pi = np.fromiter((dag.index(p) for p, _ in dag.edges),
-                         dtype=np.intp, count=len(dag.edges))
-        ci = np.fromiter((dag.index(c) for _, c in dag.edges),
-                         dtype=np.intp, count=len(dag.edges))
-        pi.flags.writeable = False
-        ci.flags.writeable = False
-        dag._edge_arrays = (pi, ci)
-    return dag._edge_arrays
 
 
 def count_violations(dag: Dag, values: np.ndarray, eps: float = 0.0) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import Dag
+from .dag import Dag, edge_index_arrays
 from .errors import (
     AlignmentError,
     EmptyGridError,
@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .scores import ScoreMatrix, count_violations, edge_index_arrays
+from .scores import ScoreMatrix, count_violations
 
 DEFAULT_GRID = np.round(np.arange(0.01, 1.00, 0.01), 2)
 

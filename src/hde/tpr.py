@@ -9,7 +9,7 @@ the phase-B values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class TprConfig:
     thresholds: np.ndarray | None = None
     w: float | None = None
     descendant_mode: str = "children"
-    literal_topdown: bool = False
 
     def __post_init__(self):
         if self.positive_selection not in POSITIVE_SELECTIONS:
@@ -125,42 +124,16 @@ def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
                        config: TprConfig) -> np.ndarray:
     """Full TPR correction (any variant, per `config`) of a score matrix.
 
-    Phase C is the HTD sweep applied to the phase-B values.  The
-    pseudocode-literal variant compares against the flat scores instead,
-    which discards phase B and is exactly HTD.
+    Phase C is the HTD sweep applied to the phase-B values.
     """
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
-    if config.literal_topdown:
-        _check_thresholds(dag, config)
-        return levels.plan.topdown(flat)
     return levels.plan.topdown(_bottom_up_matrix(dag, levels, flat, config))
 
 
-def _as_row(dag, levels, flat, config):
+def tpr_correct(dag: Dag, levels: LevelMap, flat, config: TprConfig) -> np.ndarray:
+    """Full TPR correction (any variant, per `config`) of one score row."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.ndim != 1:
         raise AlignmentError("expected a 1-D score row")
     return tpr_correct_matrix(dag, levels, flat[None, :], config)[0]
-
-
-def tpr_correct(dag: Dag, levels: LevelMap, flat, config: TprConfig) -> np.ndarray:
-    """Plain TPR on one row: equal-weight pooling of positive children."""
-    if config.descendant_mode != "children":
-        raise ValueError("tpr_correct requires descendant_mode='children'")
-    return _as_row(dag, levels, flat, config)
-
-
-def tpr_w_correct(dag: Dag, levels: LevelMap, flat, config: TprConfig) -> np.ndarray:
-    """Weighted TPR on one row; config.w balances flat vs children contribution."""
-    if config.w is None:
-        raise WeightRangeError("tpr_w_correct requires config.w")
-    return _as_row(dag, levels, flat, config)
-
-
-def tpr_desc_correct(dag: Dag, levels: LevelMap, flat,
-                     config: TprConfig) -> np.ndarray:
-    """Descendant-pooling TPR on one row (constant or linear-decay weights)."""
-    if config.descendant_mode == "children":
-        raise ValueError("tpr_desc_correct requires a descendant mode")
-    return _as_row(dag, levels, flat, config)

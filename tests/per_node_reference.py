@@ -90,4 +90,4 @@ def topdown_matrix(dag, levels, base, flat, literal):
 
 def tpr_matrix(dag, levels, flat, cfg):
     b = bottom_up_matrix(dag, levels, flat, cfg)
-    return topdown_matrix(dag, levels, b, flat, cfg.literal_topdown)
+    return topdown_matrix(dag, levels, b, flat, literal=False)

@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import gc
 import itertools
 import time
 
@@ -27,6 +28,7 @@ from hde.cli import main as cli_main
 from hde.oracles import iso_oracle, longest_path_oracle
 from hde.tpr import _bottom_up_matrix
 
+import per_node_reference as ref
 from conftest import random_dag, threshold_config
 
 ISO_EPS = 1e-9
@@ -147,10 +149,12 @@ def _sparse_dag(rng, n):
 
 
 def _time_passes(dag, n_rows, rng):
-    lv = compute_levels(dag)  # excluded from the timing
+    lv = compute_levels(dag)  # outside the timer; the plan build is inside
     vals = rng.uniform(size=(n_rows, len(dag)))
     t = rng.uniform(size=len(dag))
     cfg = TprConfig(thresholds=t)
+    # keep a cyclic-GC pass over earlier allocations out of the timer
+    gc.collect()
     start = time.perf_counter()
     htd_correct_matrix(dag, lv, vals)
     tpr_correct_matrix(dag, lv, vals, cfg)
@@ -163,9 +167,13 @@ def test_criterion_6_complexity_scaling():
     d20 = _sparse_dag(rng, 20_000)
     # warm-up to stabilise allocator effects
     _time_passes(_sparse_dag(rng, 2_000), 4, rng)
-    t10 = min(_time_passes(d10, 4, rng) for _ in range(3))
-    t20 = min(_time_passes(d20, 4, rng) for _ in range(3))
-    ratio = t20 / t10
+    # time the sizes in adjacent pairs, so a drift in host speed reaches
+    # both sides of a ratio alike; the median drops the odd pair
+    ratios = []
+    for _ in range(11):
+        t10 = _time_passes(d10, 4, rng)
+        ratios.append(_time_passes(d20, 4, rng) / t10)
+    ratio = float(np.median(ratios))
     assert ratio < 3.0, f"doubling |V| scaled the passes by {ratio:.2f}"
 
     lv = compute_levels(d10)
@@ -211,13 +219,12 @@ def test_criterion_8_literal_topdown_regression():
     for _ in range(300):
         dag = random_dag(rng, int(rng.integers(2, 40)))
         lv = compute_levels(dag)
-        y = rng.uniform(size=len(dag))
-        cfg = threshold_config(dag, float(rng.uniform()),
-                               literal_topdown=True)
-        assert np.array_equal(tpr_correct(dag, lv, y, cfg),
-                              htd_correct(dag, lv, y))
-        # and the literal pass really does discard phase B
-        b = _bottom_up_matrix(dag, lv, y[None, :], cfg)[0]
-        assert not np.array_equal(b, y) or (b == y).all()
+        y = rng.uniform(size=(1, len(dag)))
+        cfg = threshold_config(dag, float(rng.uniform()))
+        # the pseudocode-literal top-down pass compares against the flat
+        # scores, so it discards the phase-B values it is given
+        b = _bottom_up_matrix(dag, lv, y, cfg)
+        assert np.array_equal(ref.topdown_matrix(dag, lv, b, y, literal=True),
+                              htd_correct_matrix(dag, lv, y))
     _ok(8, "pseudocode-literal top-down makes TPR identical to HTD on 300 "
            "random instances")

@@ -1,7 +1,7 @@
 import pytest
 
-from hde import read_scores, read_thresholds
-from hde.cli import main
+from hde import build_dag, isotonic_project, read_scores, read_thresholds
+from hde.cli import MAX_GRID_STEPS, _ParamError, _parse_grid, main
 
 DIAMOND = "r\ta\nr\tb\na\tc\nb\tc\n"
 SKIP = "r\ta\na\tc\nr\tc\n"
@@ -116,14 +116,27 @@ class TestCorrect:
         assert code == 3
         assert capsys.readouterr().err.startswith("E_PARAM:")
 
-    def test_literal_topdown_equals_htd(self, fx):
-        a, b = fx / "a.tsv", fx / "b.tsv"
-        run("correct", "--dag", fx / "dag.tsv", "--scores", fx / "scores.tsv",
-            "--method", "htd", "-o", a)
-        run("correct", "--dag", fx / "dag.tsv", "--scores", fx / "scores.tsv",
-            "--method", "tpr", "--threshold", "0.3", "--literal-topdown",
-            "-o", b)
-        assert read_scores(a).values.tolist() == read_scores(b).values.tolist()
+    def test_w_without_tpr_w_is_param_error(self, fx, capsys):
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "htd", "--w", "0.3")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
+
+    def test_iso_on_flat_without_iso_tpr_is_param_error(self, fx, capsys):
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "tpr", "--threshold", "0.5",
+                   "--iso-on-flat")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
+
+    def test_iso_on_flat_needs_no_threshold_source(self, fx):
+        out = fx / "out.tsv"
+        assert run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "iso-tpr", "--iso-on-flat",
+                   "-o", out) == 0
+        dag = build_dag([tuple(l.split("\t")) for l in DIAMOND.splitlines()])
+        expected = isotonic_project(dag, [0.9, 0.5, 0.7, 0.6]).values
+        assert read_scores(out).values[0].tolist() == expected.tolist()
 
 
 class TestLevels:
@@ -151,6 +164,13 @@ class TestValidate:
         good = tmp_path / "good.tsv"
         good.write_text("example\tr\ta\tb\tc\ne1\t0.9\t0.8\t0.7\t0.6\n")
         assert run("validate", "--dag", fx / "dag.tsv", "--scores", good) == 0
+
+    def test_nan_eps_is_param_error(self, fx, capsys):
+        # every comparison with NaN is false, so it would pass any matrix
+        code = run("validate", "--dag", fx / "dag.tsv",
+                   "--scores", fx / "scores.tsv", "--eps", "nan")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
 
 
 class TestFitThresholdsAndEval:
@@ -199,6 +219,23 @@ class TestFitThresholdsAndEval:
                    "-o", out) == 0
         tv = read_thresholds(out)
         assert set(tv.class_ids) == {"r", "a", "b"}
+
+    @pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:0.1", "nan:1:0.1"])
+    def test_non_finite_grid_is_param_error(self, tmp_path, capsys, grid):
+        self.make_training(tmp_path)
+        assert run("fit-thresholds", "--dag", tmp_path / "tdag.tsv",
+                   "--scores", tmp_path / "tscores.tsv",
+                   "--labels", tmp_path / "tlabels.tsv",
+                   "--strategy", "fscore", "--grid", grid) == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
+
+    def test_grid_step_count_is_capped(self):
+        # the cap is checked before the candidates are allocated; the
+        # grids here stay small even without it
+        assert _parse_grid(f"0:1:{1 / MAX_GRID_STEPS}").size == MAX_GRID_STEPS + 1
+        for spec in (f"0:1:{0.5 / MAX_GRID_STEPS}", "-1e308:1e308:1"):
+            with pytest.raises(_ParamError):
+                _parse_grid(spec)
 
     def test_missing_k(self, tmp_path):
         self.make_training(tmp_path)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hde import (
-    ConvergenceError,
     TprConfig,
     build_dag,
     check_valid_continuous,
@@ -53,24 +52,13 @@ class TestIsotonicProject:
         assert np.array_equal(sol.values, [0.3])
         assert sol.objective == 0.0
 
-    @pytest.mark.parametrize("solver", ["exact", "dykstra"])
-    def test_feasibility(self, solver):
+    def test_feasibility(self):
         rng = np.random.default_rng(52)
         for _ in range(100):
             dag = random_dag(rng, int(rng.integers(2, 16)))
-            sol = isotonic_project(dag, rng.uniform(size=len(dag)),
-                                   solver=solver)
+            sol = isotonic_project(dag, rng.uniform(size=len(dag)))
             assert not check_valid_continuous(dag, sol.values, eps=EPS)
             assert sol.residual <= EPS
-
-    def test_solvers_agree(self):
-        rng = np.random.default_rng(53)
-        for _ in range(60):
-            dag = random_dag(rng, int(rng.integers(2, 16)))
-            z = rng.uniform(size=len(dag))
-            a = isotonic_project(dag, z, solver="exact").values
-            b = isotonic_project(dag, z, solver="dykstra").values
-            assert np.abs(a - b).max() <= 1e-6
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(54)
@@ -107,12 +95,6 @@ class TestIsotonicProject:
             sol = isotonic_project(dag, z)
             htd_obj = ((z - htd_correct(dag, lv, z)) ** 2).sum()
             assert sol.objective <= htd_obj + 1e-12
-
-    def test_dykstra_convergence_error(self):
-        dag = build_dag([("p", "c")])
-        with pytest.raises(ConvergenceError):
-            isotonic_project(dag, [0.2, 0.8], solver="dykstra",
-                             tol=1e-10, max_sweeps=1)
 
     def test_values_stay_in_unit_interval(self):
         rng = np.random.default_rng(58)

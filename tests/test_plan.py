@@ -20,7 +20,8 @@ from hde import (
     htd_correct_matrix,
     tpr_correct_matrix,
 )
-from hde.scores import ScoreMatrix, edge_index_arrays
+from hde.dag import edge_index_arrays
+from hde.scores import ScoreMatrix
 from hde.tpr import _bottom_up_matrix
 
 import per_node_reference as ref
@@ -36,7 +37,6 @@ VARIANTS = [
     dict(positive_selection="threshold", descendant_mode="descendants-linear"),
     dict(positive_selection="adaptive", descendant_mode="descendants-linear",
          w=0.3),
-    dict(positive_selection="threshold", literal_topdown=True),
 ]
 
 

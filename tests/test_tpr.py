@@ -10,8 +10,6 @@ from hde import (
     htd_correct,
     positive_children,
     tpr_correct,
-    tpr_desc_correct,
-    tpr_w_correct,
 )
 from hde.tpr import tpr_correct_matrix
 
@@ -104,16 +102,6 @@ class TestTprCorrect:
             b = _bottom_up_matrix(dag, lv, y, cfg)[0]
             assert (b >= y[0] - 1e-12).all()
 
-    def test_literal_topdown_equals_htd(self):
-        rng = np.random.default_rng(35)
-        for _ in range(200):
-            dag = random_dag(rng, int(rng.integers(2, 30)))
-            lv = compute_levels(dag)
-            y = random_scores(rng, dag)[0]
-            cfg = threshold_config(dag, 0.4, literal_topdown=True)
-            assert np.array_equal(tpr_correct(dag, lv, y, cfg),
-                                  htd_correct(dag, lv, y))
-
     def test_within_level_order_independence(self):
         rng = np.random.default_rng(36)
         for _ in range(20):
@@ -147,7 +135,7 @@ class TestTprW:
             lv = compute_levels(dag)
             y = random_scores(rng, dag)[0]
             cfg = threshold_config(dag, 0.4, w=1.0)
-            assert np.array_equal(tpr_w_correct(dag, lv, y, cfg),
+            assert np.array_equal(tpr_correct(dag, lv, y, cfg),
                                   htd_correct(dag, lv, y))
 
     def test_diamond_phase_b_value(self, diamond):
@@ -177,11 +165,6 @@ class TestTprW:
         with pytest.raises(WeightRangeError):
             TprConfig(thresholds=np.array([0.5]), w=1.5)
 
-    def test_requires_w(self, diamond):
-        dag, lv = diamond
-        with pytest.raises(WeightRangeError):
-            tpr_w_correct(dag, lv, DIAMOND_Y, threshold_config(dag, 0.5))
-
     def test_output_consistent(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -189,7 +172,7 @@ class TestTprW:
             lv = compute_levels(dag)
             y = random_scores(rng, dag)[0]
             w = float(rng.uniform())
-            out = tpr_w_correct(dag, lv, y, threshold_config(dag, 0.4, w=w))
+            out = tpr_correct(dag, lv, y, threshold_config(dag, 0.4, w=w))
             assert not check_valid_continuous(dag, out)
 
 
@@ -224,7 +207,7 @@ class TestTprDescendants:
             const = threshold_config(dag, 0.5,
                                      descendant_mode="descendants-constant")
             children = threshold_config(dag, 0.5)
-            assert np.array_equal(tpr_desc_correct(dag, lv, y, const),
+            assert np.array_equal(tpr_correct(dag, lv, y, const),
                                   tpr_correct(dag, lv, y, children))
 
     def test_linear_equals_constant_on_two_level_dag(self):
@@ -235,8 +218,8 @@ class TestTprDescendants:
         y = random_scores(rng, dag)[0]
         lin = threshold_config(dag, 0.5, descendant_mode="descendants-linear")
         const = threshold_config(dag, 0.5, descendant_mode="descendants-constant")
-        assert np.array_equal(tpr_desc_correct(dag, lv, y, lin),
-                              tpr_desc_correct(dag, lv, y, const))
+        assert np.array_equal(tpr_correct(dag, lv, y, lin),
+                              tpr_correct(dag, lv, y, const))
 
     def test_linear_weights_hand_computed(self):
         # chain r->a->b->c at node a: d(a,b)=1, d(a,c)=2, D_a=2
@@ -260,17 +243,8 @@ class TestTprDescendants:
             y = random_scores(rng, dag)[0]
             for mode in ("descendants-constant", "descendants-linear"):
                 cfg = threshold_config(dag, 0.4, descendant_mode=mode)
-                out = tpr_desc_correct(dag, lv, y, cfg)
+                out = tpr_correct(dag, lv, y, cfg)
                 assert not check_valid_continuous(dag, out)
-
-    def test_wrapper_mode_checks(self, diamond):
-        dag, lv = diamond
-        with pytest.raises(ValueError):
-            tpr_desc_correct(dag, lv, DIAMOND_Y, threshold_config(dag, 0.5))
-        with pytest.raises(ValueError):
-            tpr_correct(dag, lv, DIAMOND_Y,
-                        threshold_config(dag, 0.5,
-                                         descendant_mode="descendants-constant"))
 
 
 class TestConfigValidation:
