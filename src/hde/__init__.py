@@ -17,7 +17,6 @@ from .dag import (
     build_dag,
     compute_levels,
     read_edge_list,
-    relatives,
     write_edge_list,
 )
 from .errors import (
@@ -47,7 +46,6 @@ from .scores import (
     check_valid_continuous,
     check_valid_discrete,
     count_violations,
-    labeling_to_sets,
     read_scores,
     write_scores,
 )

@@ -37,7 +37,7 @@ from .thresholds import (
     fit_global,
     fit_percentile,
     read_thresholds,
-    write_thresholds,
+    write_thresholds_stream,
 )
 from .tpr import TprConfig, tpr_correct_matrix
 
@@ -64,6 +64,12 @@ def _emit(path, write):
             fh.close()
 
 
+def _check_range(option, value, lo, hi):
+    if not (lo <= value <= hi):  # also rejects NaN
+        raise _ParamError(f"{option} must lie in [{lo}, {hi}]")
+    return value
+
+
 def _load_dag(args):
     edges = read_edge_list(args.dag)
     return build_dag(edges, dedup=getattr(args, "dedup", False))
@@ -81,9 +87,8 @@ def _build_config(args, dag):
         tv = align_thresholds(read_thresholds(args.thresholds_file), dag)
         selection, t = "threshold", tv.values
     elif args.threshold is not None:
-        if not (0.0 <= args.threshold <= 1.0):
-            raise _ParamError("--threshold must lie in [0, 1]")
-        selection, t = "threshold", np.full(len(dag), args.threshold)
+        t_bar = _check_range("--threshold", args.threshold, 0, 1)
+        selection, t = "threshold", np.full(len(dag), t_bar)
     else:
         raise _ParamError("method requires --threshold, --thresholds-file "
                           "or --adaptive")
@@ -101,6 +106,11 @@ def cmd_correct(args) -> int:
                           "--method tpr-w")
     if args.iso_on_flat and args.method != "iso-tpr":
         raise _ParamError("--iso-on-flat is only used by --method iso-tpr")
+    has_source = (args.threshold is not None
+                  or args.thresholds_file is not None or args.adaptive)
+    if has_source and (args.method == "htd" or args.iso_on_flat):
+        raise _ParamError("--threshold, --thresholds-file and --adaptive are "
+                          "not used by --method htd or --iso-on-flat")
     dag = _load_dag(args)
     levels = compute_levels(dag)
     matrix = align_to_dag(read_scores(args.scores), dag)
@@ -150,31 +160,34 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit_thresholds(args) -> int:
-    dag = _load_dag(args)
+    for option, strategy in (("grid", "fscore"), ("t", "global"),
+                             ("k", "percentile")):
+        if getattr(args, option) is not None and args.strategy != strategy:
+            raise _ParamError(f"--{option} is only used by --strategy "
+                              f"{strategy}")
     if args.strategy == "global":
         if args.t is None:
             raise _ParamError("--strategy global requires --t")
+        _check_range("--t", args.t, 0, 1)
+    elif args.scores is None or args.labels is None:
+        raise _ParamError(f"--strategy {args.strategy} requires "
+                          "--scores and --labels")
+    elif args.strategy == "percentile":
+        if args.k is None:
+            raise _ParamError("--strategy percentile requires --k")
+        _check_range("--k", args.k, 0, 100)
+    grid = _parse_grid(args.grid) if args.grid else None
+    dag = _load_dag(args)
+    if args.strategy == "global":
         tv = fit_global(args.t, dag.nodes)
     else:
-        if args.scores is None or args.labels is None:
-            raise _ParamError(f"--strategy {args.strategy} requires "
-                              "--scores and --labels")
         scores = align_to_dag(read_scores(args.scores), dag)
         labels = align_to_dag(read_scores(args.labels), dag)
         if args.strategy == "fscore":
-            grid = _parse_grid(args.grid) if args.grid else None
             tv = fit_fscore(scores, labels, grid)
         else:
-            if args.k is None:
-                raise _ParamError("--strategy percentile requires --k")
             tv = fit_percentile(scores, labels, args.k)
-    if args.output in (None, "-"):
-        fh = sys.stdout
-        fh.write(f"# strategy: {tv.strategy_tag}\n")
-        for c, v in zip(tv.class_ids, tv.values):
-            fh.write(f"{c}\t{repr(float(v))}\n")
-    else:
-        write_thresholds(tv, args.output)
+    _emit(args.output, lambda fh: write_thresholds_stream(tv, fh))
     return 0
 
 
@@ -185,7 +198,8 @@ def cmd_eval(args) -> int:
     if args.thresholds_file is not None:
         tv = align_thresholds(read_thresholds(args.thresholds_file), dag)
     elif args.threshold is not None:
-        tv = fit_global(args.threshold, dag.nodes)
+        tv = fit_global(_check_range("--threshold", args.threshold, 0, 1),
+                        dag.nodes)
     else:
         raise _ParamError("eval requires --threshold or --thresholds-file")
     report = evaluate(dag, scores, labels, tv)

@@ -25,9 +25,6 @@ from .errors import (
 
 SYNTHETIC_ROOT = "__ROOT__"
 
-_RELATION_KINDS = ("children", "parents", "ancestors", "descendants")
-
-
 class Dag:
     """Immutable rooted DAG over string class identifiers.
 
@@ -292,17 +289,6 @@ def _count_blocks(level, owner, member, weight):
                            None if weight is None
                            else weight[a:b].reshape(-1, k)))
     return blocks
-
-
-def relatives(dag: Dag, node: str, kind: str):
-    """Return the requested relation set of `node` as an ordered tuple.
-
-    `kind` is one of "children", "parents", "ancestors", "descendants".
-    The node itself is never a member of any of the four sets.
-    """
-    if kind not in _RELATION_KINDS:
-        raise ValueError(f"kind must be one of {_RELATION_KINDS}, got {kind!r}")
-    return getattr(dag, kind)(node)
 
 
 def build_dag(edges, dedup: bool = False) -> Dag:

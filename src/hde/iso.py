@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .dag import Dag, LevelMap, edge_index_arrays
-from .errors import AlignmentError
+from .errors import AlignmentError, ConvergenceError
 from .htd import _check_aligned
 from .tpr import TprConfig, _bottom_up_matrix
 
@@ -40,7 +40,8 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
     Exact active-set solve via the dual: with A holding one row
     e_child - e_parent per edge, the projection of z onto {y : Ay <= 0} is
     y = z - A'lam where lam >= 0 minimizes ||A'lam - z||, a plain
-    non-negative least-squares problem.
+    non-negative least-squares problem.  NNLS running out of iterations
+    (scipy raises RuntimeError) is reported as ConvergenceError.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (len(dag),):
@@ -53,7 +54,10 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
     at = np.zeros((n, m))
     at[ci, np.arange(m)] = 1.0
     at[pi, np.arange(m)] -= 1.0
-    lam, _ = nnls(at, z)
+    try:
+        lam, _ = nnls(at, z)
+    except RuntimeError as exc:
+        raise ConvergenceError(f"isotonic projection: {exc}") from None
     y = z - at @ lam
     residual = float(max(0.0, (y[ci] - y[pi]).max()))
     objective = float(((z - y) ** 2).sum())

@@ -12,7 +12,6 @@ from .errors import (
     MissingClassError,
     ParseError,
     RangeError,
-    UnknownNodeError,
 )
 
 
@@ -48,13 +47,6 @@ class ScoreMatrix:
     def shape(self):
         return self.values.shape
 
-    def row(self, example_id):
-        try:
-            i = self.example_ids.index(example_id)
-        except ValueError:
-            raise UnknownNodeError(f"unknown example {example_id!r}") from None
-        return self.values[i]
-
     def __eq__(self, other):
         if not isinstance(other, ScoreMatrix):
             return NotImplemented
@@ -77,15 +69,6 @@ class ViolationReport:
 
     def __bool__(self):
         return self.total_count > 0
-
-
-def labeling_to_sets(dag: Dag, labels: ScoreMatrix):
-    """0/1 label matrix -> list of per-example predicted-class sets."""
-    out = []
-    for r in range(labels.values.shape[0]):
-        out.append({labels.class_ids[j]
-                    for j in np.flatnonzero(labels.values[r] > 0.5)})
-    return out
 
 
 def check_valid_discrete(dag: Dag, labeling) -> bool:

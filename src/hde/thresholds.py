@@ -70,6 +70,13 @@ class EvalReport:
     max_violation_gap: float
 
 
+def _class_metrics(class_ids, pred, pos) -> ClassMetrics:
+    """Per-column confusion counts of boolean prediction and label matrices."""
+    return ClassMetrics(class_ids, (pred & pos).sum(axis=0),
+                        (pred & ~pos).sum(axis=0), (~pred & ~pos).sum(axis=0),
+                        (~pred & pos).sum(axis=0))
+
+
 def _safe_div(num, den):
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
@@ -84,12 +91,6 @@ def fit_global(t_bar: float, class_ids) -> ThresholdVector:
         raise RangeError(f"threshold must lie in [0, 1], got {t_bar}")
     class_ids = list(class_ids)
     return ThresholdVector(class_ids, np.full(len(class_ids), t_bar), "global")
-
-
-def _f_score(tp, fp, fn):
-    p = tp / (tp + fp) if tp + fp > 0 else 0.0
-    r = tp / (tp + fn) if tp + fn > 0 else 0.0
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 def fit_fscore(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
@@ -108,24 +109,18 @@ def fit_fscore(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
     _check_pair(train_scores, train_labels)
     grid = np.sort(grid)
 
+    ids = list(train_scores.class_ids)
     s = train_scores.values
     pos = train_labels.values > 0.5
+    best_f = np.full(s.shape[1], -1.0)
     out = np.empty(s.shape[1])
-    for j in range(s.shape[1]):
-        if not pos[:, j].any():
-            out[j] = grid[-1]
-            continue
-        best_f, best_t = -1.0, grid[0]
-        for t in grid:
-            pred = s[:, j] > t
-            tp = int((pred & pos[:, j]).sum())
-            fp = int((pred & ~pos[:, j]).sum())
-            fn = int((~pred & pos[:, j]).sum())
-            f = _f_score(tp, fp, fn)
-            if f > best_f:  # ties keep the smallest (earliest) grid value
-                best_f, best_t = f, t
-        out[j] = best_t
-    return ThresholdVector(list(train_scores.class_ids), out, "fscore")
+    for t in grid:
+        f = _class_metrics(ids, s > t, pos).f_score
+        better = f > best_f  # ties keep the smallest (earliest) grid value
+        best_f[better] = f[better]
+        out[better] = t
+    out[~pos.any(axis=0)] = grid[-1]
+    return ThresholdVector(ids, out, "fscore")
 
 
 def fit_percentile(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
@@ -166,13 +161,9 @@ def evaluate(dag: Dag, scores: ScoreMatrix, labels: ScoreMatrix,
     if scores.class_ids != list(dag.nodes):
         raise AlignmentError("score columns not aligned with the taxonomy")
 
-    pred = scores.values > thresholds.values
-    pos = labels.values > 0.5
-    tp = (pred & pos).sum(axis=0)
-    fp = (pred & ~pos).sum(axis=0)
-    fn = (~pred & pos).sum(axis=0)
-    tn = (~pred & ~pos).sum(axis=0)
-    metrics = ClassMetrics(list(scores.class_ids), tp, fp, tn, fn)
+    metrics = _class_metrics(list(scores.class_ids),
+                             scores.values > thresholds.values,
+                             labels.values > 0.5)
 
     count = count_violations(dag, scores.values)
     max_gap = 0.0
@@ -214,11 +205,16 @@ def read_thresholds(path) -> ThresholdVector:
     return ThresholdVector(ids, np.array(vals), "file")
 
 
+def write_thresholds_stream(tv: ThresholdVector, fh) -> None:
+    fh.write(f"# strategy: {tv.strategy_tag}\n")
+    for c, v in zip(tv.class_ids, tv.values):
+        fh.write(f"{c}\t{repr(float(v))}\n")
+
+
 def write_thresholds(tv: ThresholdVector, path) -> None:
+    """Write a `class<TAB>threshold` TSV headed by the strategy tag."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# strategy: {tv.strategy_tag}\n")
-        for c, v in zip(tv.class_ids, tv.values):
-            fh.write(f"{c}\t{repr(float(v))}\n")
+        write_thresholds_stream(tv, fh)
 
 
 def align_thresholds(tv: ThresholdVector, dag: Dag) -> ThresholdVector:

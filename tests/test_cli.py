@@ -6,6 +6,7 @@ from hde.cli import MAX_GRID_STEPS, _ParamError, _parse_grid, main
 DIAMOND = "r\ta\nr\tb\na\tc\nb\tc\n"
 SKIP = "r\ta\na\tc\nr\tc\n"
 DIAMOND_SCORES = "example\tr\ta\tb\tc\ne1\t0.9\t0.5\t0.7\t0.6\n"
+THRESHOLDS = "r\t0.5\na\t0.5\nb\t0.5\nc\t0.5\n"
 
 
 @pytest.fixture
@@ -13,6 +14,7 @@ def fx(tmp_path):
     (tmp_path / "dag.tsv").write_text(DIAMOND)
     (tmp_path / "skip.tsv").write_text(SKIP)
     (tmp_path / "scores.tsv").write_text(DIAMOND_SCORES)
+    (tmp_path / "thr.tsv").write_text(THRESHOLDS)
     return tmp_path
 
 
@@ -129,6 +131,31 @@ class TestCorrect:
         assert code == 3
         assert capsys.readouterr().err.startswith("E_PARAM:")
 
+    @pytest.mark.parametrize("method", [["htd"], ["iso-tpr", "--iso-on-flat"]],
+                             ids=["htd", "iso-on-flat"])
+    @pytest.mark.parametrize("source", [["--threshold", "0.5"],
+                                        ["--thresholds-file", "thr.tsv"],
+                                        ["--adaptive"]],
+                             ids=["threshold", "thresholds-file", "adaptive"])
+    def test_unused_threshold_source_is_param_error(self, fx, capsys, method,
+                                                    source):
+        source = [fx / a if a == "thr.tsv" else a for a in source]
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", *method, *source)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
+
+    def test_nnls_iteration_limit_is_convergence_error(self, fx, capsys,
+                                                       monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+        monkeypatch.setattr("hde.iso.nnls", exhausted)
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "iso-tpr", "--iso-on-flat")
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert [l.startswith("E_CONVERGENCE:") for l in lines] == [True]
+
     def test_iso_on_flat_needs_no_threshold_source(self, fx):
         out = fx / "out.tsv"
         assert run("correct", "--dag", fx / "dag.tsv", "--scores",
@@ -237,6 +264,33 @@ class TestFitThresholdsAndEval:
             with pytest.raises(_ParamError):
                 _parse_grid(spec)
 
+    @pytest.mark.parametrize("argv", [
+        ["fit-thresholds", "--strategy", "global", "--t", "2"],
+        ["fit-thresholds", "--strategy", "global", "--t", "nan"],
+        ["fit-thresholds", "--strategy", "percentile", "--k", "nan"],
+        ["fit-thresholds", "--strategy", "percentile", "--k", "101"],
+        ["eval", "--threshold", "nan"]])
+    def test_out_of_range_value_is_param_error(self, tmp_path, capsys, argv):
+        self.make_training(tmp_path)
+        assert run(*argv, "--dag", tmp_path / "tdag.tsv",
+                   "--scores", tmp_path / "tscores.tsv",
+                   "--labels", tmp_path / "tlabels.tsv") == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
+
+    @pytest.mark.parametrize("strategy, extra", [
+        ("global", ["--t", "0.5", "--grid", "0.1:0.9:0.1"]),
+        ("percentile", ["--k", "50", "--grid", "0.1:0.9:0.1"]),
+        ("fscore", ["--t", "0.5"]), ("percentile", ["--k", "50", "--t", "0.5"]),
+        ("global", ["--t", "0.5", "--k", "50"]), ("fscore", ["--k", "50"])])
+    def test_unused_option_is_param_error(self, tmp_path, capsys, strategy,
+                                          extra):
+        self.make_training(tmp_path)
+        assert run("fit-thresholds", "--dag", tmp_path / "tdag.tsv",
+                   "--scores", tmp_path / "tscores.tsv",
+                   "--labels", tmp_path / "tlabels.tsv",
+                   "--strategy", strategy, *extra) == 3
+        assert capsys.readouterr().err.startswith("E_PARAM:")
+
     def test_missing_k(self, tmp_path):
         self.make_training(tmp_path)
         assert run("fit-thresholds", "--dag", tmp_path / "tdag.tsv",
@@ -254,3 +308,15 @@ class TestFitThresholdsAndEval:
         assert out.splitlines()[3] == "class\tP\tR\tF"
         # class r: every example positive and predicted => F = 1
         assert any(l.startswith("r\t1.0\t1.0\t1.0") for l in out.splitlines())
+
+    def test_score_outside_unit_interval_is_io_error(self, tmp_path, capsys):
+        # a bad value in an input file is an input error, not a parameter one
+        self.make_training(tmp_path)
+        (tmp_path / "tscores.tsv").write_text(
+            "example\tr\ta\tb\ne1\t1.5\t0.8\t0.1\n")
+        assert run("eval", "--dag", tmp_path / "tdag.tsv",
+                   "--scores", tmp_path / "tscores.tsv",
+                   "--labels", tmp_path / "tlabels.tsv",
+                   "--threshold", "0.5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_IO:") and "[0, 1]" in err

@@ -11,7 +11,6 @@ from hde import (
     build_dag,
     compute_levels,
     read_edge_list,
-    relatives,
     write_edge_list,
 )
 from hde.oracles import bellman_ford_levels, longest_path_oracle
@@ -89,22 +88,19 @@ class TestRelatives:
         return build_dag([("r", "a"), ("r", "b"), ("a", "c"), ("b", "c")])
 
     def test_parents(self, dag):
-        assert set(relatives(dag, "c", "parents")) == {"a", "b"}
+        assert set(dag.parents("c")) == {"a", "b"}
 
     def test_ancestors(self, dag):
-        assert set(relatives(dag, "c", "ancestors")) == {"r", "a", "b"}
+        assert set(dag.ancestors("c")) == {"r", "a", "b"}
 
     def test_descendants(self, dag):
-        assert set(relatives(dag, "r", "descendants")) == {"a", "b", "c"}
+        assert set(dag.descendants("r")) == {"a", "b", "c"}
 
     def test_node_excluded_from_all_kinds(self, dag):
-        for kind in ("children", "parents", "ancestors", "descendants"):
+        for relation in (dag.children, dag.parents, dag.ancestors,
+                         dag.descendants):
             for n in dag.nodes:
-                assert n not in relatives(dag, n, kind)
-
-    def test_bad_kind(self, dag):
-        with pytest.raises(ValueError):
-            relatives(dag, "c", "siblings")
+                assert n not in relation(n)
 
     def test_anc_desc_inverse(self):
         rng = np.random.default_rng(7)
