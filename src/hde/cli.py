@@ -49,6 +49,13 @@ class _ParamError(HdeError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a _ParamError: one E_PARAM line, exit 3."""
+
+    def error(self, message):
+        raise _ParamError(message)
+
+
 def _out_stream(path):
     if path in (None, "-"):
         return sys.stdout, False
@@ -76,11 +83,6 @@ def _load_dag(args):
 
 
 def _build_config(args, dag):
-    sources = [args.threshold is not None, args.thresholds_file is not None,
-               args.adaptive]
-    if sum(sources) > 1:
-        raise _ParamError("--threshold, --thresholds-file and --adaptive "
-                          "are mutually exclusive")
     if args.adaptive:
         selection, t = "adaptive", None
     elif args.thresholds_file is not None:
@@ -160,11 +162,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit_thresholds(args) -> int:
-    for option, strategy in (("grid", "fscore"), ("t", "global"),
-                             ("k", "percentile")):
-        if getattr(args, option) is not None and args.strategy != strategy:
+    for option, strategies in (("grid", ["fscore"]), ("t", ["global"]),
+                               ("k", ["percentile"]),
+                               ("scores", ["fscore", "percentile"]),
+                               ("labels", ["fscore", "percentile"])):
+        if (getattr(args, option) is not None
+                and args.strategy not in strategies):
             raise _ParamError(f"--{option} is only used by --strategy "
-                              f"{strategy}")
+                              + " or ".join(strategies))
     if args.strategy == "global":
         if args.t is None:
             raise _ParamError("--strategy global requires --t")
@@ -197,11 +202,9 @@ def cmd_eval(args) -> int:
     labels = align_to_dag(read_scores(args.labels), dag)
     if args.thresholds_file is not None:
         tv = align_thresholds(read_thresholds(args.thresholds_file), dag)
-    elif args.threshold is not None:
+    else:
         tv = fit_global(_check_range("--threshold", args.threshold, 0, 1),
                         dag.nodes)
-    else:
-        raise _ParamError("eval requires --threshold or --thresholds-file")
     report = evaluate(dag, scores, labels, tv)
     def write(fh):
         fh.write(f"# examples: {report.n_examples}\n")
@@ -238,7 +241,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hde",
         description="Hierarchy-consistent correction of per-class prediction "
                     "scores over a DAG taxonomy.")
@@ -257,12 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("correct", help="correct a score matrix")
     common(sp)
     sp.add_argument("--method", required=True, choices=METHODS)
-    sp.add_argument("--threshold", type=float, default=None,
-                    help="single global threshold for the positive sets")
-    sp.add_argument("--thresholds-file", default=None,
-                    help="per-class thresholds TSV")
-    sp.add_argument("--adaptive", action="store_true",
-                    help="threshold-free positive-child selection")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--threshold", type=float, default=None,
+                        help="single global threshold for the positive sets")
+    source.add_argument("--thresholds-file", default=None,
+                        help="per-class thresholds TSV")
+    source.add_argument("--adaptive", action="store_true",
+                        help="threshold-free positive-child selection")
     sp.add_argument("--w", type=float, default=None,
                     help="flat-score weight for --method tpr-w")
     sp.add_argument("--iso-on-flat", action="store_true",
@@ -298,17 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="per-class precision/recall/F at thresholds")
     common(sp)
     sp.add_argument("--labels", required=True, help="0/1 labels TSV")
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--thresholds-file", default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--threshold", type=float, default=None)
+    source.add_argument("--thresholds-file", default=None)
     sp.set_defaults(func=cmd_eval)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (_ParamError, WeightRangeError, EmptyGridError) as exc:
         print(f"E_PARAM: {exc}", file=sys.stderr)

@@ -36,8 +36,7 @@ class Dag:
 
     __slots__ = (
         "nodes", "edges", "root", "synthetic_root_flag",
-        "_index", "_children", "_parents", "_anc_cache", "_desc_cache",
-        "_edge_arrays",
+        "_index", "_children", "_parents", "_order", "_edge_arrays",
     )
 
     def __init__(self, nodes, edges, root, synthetic_root_flag):
@@ -53,8 +52,16 @@ class Dag:
             parents[c].append(p)
         self._children = {n: tuple(v) for n, v in children.items()}
         self._parents = {n: tuple(v) for n, v in parents.items()}
-        self._anc_cache = {}
-        self._desc_cache = {}
+        # Kahn's algorithm, first in first out; on a cyclic graph the nodes
+        # on or below a cycle are left out
+        indeg = {n: len(v) for n, v in self._parents.items()}
+        order = [n for n in self.nodes if not indeg[n]]
+        for n in order:  # the list grows while it is walked
+            for c in self._children[n]:
+                indeg[c] -= 1
+                if not indeg[c]:
+                    order.append(c)
+        self._order = tuple(order)
         self._edge_arrays = None  # filled by edge_index_arrays
 
     def __len__(self):
@@ -93,44 +100,31 @@ class Dag:
 
     def ancestors(self, node):
         """All nodes reachable from `node` against edge direction, excluding itself."""
-        return self._reach(node, self._parents, self._anc_cache)
+        return self._reach(node, self._parents)
 
     def descendants(self, node):
         """All nodes reachable from `node` along edge direction, excluding itself."""
-        return self._reach(node, self._children, self._desc_cache)
+        return self._reach(node, self._children)
 
-    def _reach(self, node, adjacency, cache):
+    def _reach(self, node, adjacency):
         self.index(node)
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
-        seen = {}
-        stack = list(adjacency[node])[::-1]
+        seen = set()
+        stack = list(adjacency[node])
         while stack:
             n = stack.pop()
-            if n in seen:
-                continue
-            seen[n] = True
-            stack.extend(adjacency[n][::-1])
+            if n not in seen:
+                seen.add(n)
+                stack.extend(adjacency[n])
         # deterministic: global node order
-        result = tuple(sorted(seen, key=self._index.__getitem__))
-        cache[node] = result
-        return result
+        return tuple(sorted(seen, key=self._index.__getitem__))
 
     def topological_order(self):
         """Nodes in a topological order (parents before children).
 
-        Kahn's algorithm, first in first out.  On a cyclic graph the nodes
+        Kept from the constructor's Kahn pass.  On a cyclic graph the nodes
         on or below a cycle are missing from the result.
         """
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        order = [n for n in self.nodes if indeg[n] == 0]
-        for n in order:  # the list grows while it is walked
-            for c in self._children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    order.append(c)
-        return order
+        return self._order
 
 
 def edge_index_arrays(dag: Dag):
@@ -331,82 +325,55 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     has_parent = {c for _, c in edges}
     roots = [n for n in nodes if n not in has_parent]
 
-    synthetic = False
-    if not roots:
-        raise CycleError(_find_cycle(nodes, edges))
+    # no root at all: Kahn's order below comes out empty, so it is a cycle
+    root = roots[0] if roots else None
+    synthetic = SYNTHETIC_ROOT in index
     if len(roots) > 1:
-        if SYNTHETIC_ROOT in index:
+        if synthetic:
             raise DagError(
                 f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root "
                 "but appears in a multi-root edge list")
-        for r in roots:
-            edges.append((SYNTHETIC_ROOT, r))
-        index[SYNTHETIC_ROOT] = len(nodes)
+        edges += [(SYNTHETIC_ROOT, r) for r in roots]
         nodes.append(SYNTHETIC_ROOT)
         root = SYNTHETIC_ROOT
         synthetic = True
-    else:
-        root = roots[0]
-        if SYNTHETIC_ROOT in index:
-            if root != SYNTHETIC_ROOT:
-                raise DagError(
-                    f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root")
-            # round-trip of a previously augmented graph
-            synthetic = True
+    elif synthetic and roots and root != SYNTHETIC_ROOT:
+        raise DagError(
+            f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root")
+    # otherwise a lone "__ROOT__" root is the round-trip of an augmented graph
 
     dag = Dag(nodes, edges, root, synthetic)
-    order = dag.topological_order()
-    if len(order) < len(nodes):
-        done = set(order)
-        remaining = [n for n in nodes if n not in done]
-        raise CycleError(_find_cycle(remaining, [
-            (p, c) for p, c in edges if p not in done and c not in done]))
+    if len(dag._order) < len(nodes):
+        raise CycleError(_find_cycle(dag))
     return dag
 
 
-def _find_cycle(nodes, edges):
-    """Locate one directed cycle in a subgraph known to contain one."""
-    children = {n: [] for n in nodes}
-    for p, c in edges:
-        children[p].append(c)
-    color = dict.fromkeys(nodes, 0)  # 0 white, 1 on stack, 2 done
-    parent_on_path = {}
-    for start in nodes:
-        if color[start]:
-            continue
-        stack = [(start, iter(children[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent_on_path[cur]
-                    cycle.append(nxt)
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent_on_path[nxt] = node
-                    stack.append((nxt, iter(children[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    raise AssertionError("no cycle found in subgraph reported cyclic")
+def _find_cycle(dag):
+    """One directed cycle, read off the nodes Kahn's order left out.
+
+    Every left-out node has a left-out parent (else Kahn would have reached
+    it), so walking from parent to left-out parent revisits a node.  The
+    stretch between the two visits, reversed, is a cycle in parent -> child
+    order; its first node is repeated at the end.
+    """
+    done = set(dag._order)
+    node = next(n for n in dag.nodes if n not in done)
+    path, at = [], {}
+    while node not in at:
+        at[node] = len(path)
+        path.append(node)
+        node = next(p for p in dag._parents[node] if p not in done)
+    cycle = path[at[node]:][::-1]
+    return cycle + cycle[:1]
 
 
 def compute_levels(dag: Dag) -> LevelMap:
     """Longest-path distance from the root for every node.
 
-    Dynamic programming over a topological order: dist(root) = 0 and
-    dist(n) = 1 + max over parents of dist(parent).  Equivalent to running
-    Bellman-Ford on negated edge weights, in linear instead of quadratic time.
+    Dynamic programming over the Dag's kept topological order: dist(root)
+    = 0 and dist(n) = 1 + max over parents of dist(parent).  Equivalent to
+    running Bellman-Ford on negated edge weights, in linear instead of
+    quadratic time.
     """
     dist = {}
     for n in dag.topological_order():

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and its one [0, 1] check."""
 
 
 class HdeError(Exception):
@@ -56,6 +56,15 @@ class ParseError(HdeError):
 
 class MissingClassError(HdeError):
     """Input score file lacks a required class column."""
+
+
+def check_unit_interval(values, what):
+    """Raise RangeError("<what> must lie in [0, 1]") unless every value does.
+
+    NaN fails too: min and max propagate it, and it compares false.
+    """
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise RangeError(f"{what} must lie in [0, 1]")
 
 
 class WeightRangeError(RangeError):

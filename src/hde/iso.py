@@ -42,6 +42,11 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
     y = z - A'lam where lam >= 0 minimizes ||A'lam - z||, a plain
     non-negative least-squares problem.  NNLS running out of iterations
     (scipy raises RuntimeError) is reported as ConvergenceError.
+
+    The solve leaves rounding-sized violations on some edges; each violating
+    child is lowered to its parents' minimum until none is left (at most one
+    pass per level), so the values obey the true path rule exactly.
+    `objective` and `residual` describe the raw solve.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (len(dag),):
@@ -61,7 +66,12 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
     y = z - at @ lam
     residual = float(max(0.0, (y[ci] - y[pi]).max()))
     objective = float(((z - y) ** 2).sum())
-    return IsoSolution(np.clip(y, 0.0, 1.0), objective, 1, residual)
+    y = np.clip(y, 0.0, 1.0)
+    bad = np.flatnonzero(y[ci] > y[pi])
+    while bad.size:
+        np.minimum.at(y, ci[bad], y[pi[bad]])
+        bad = np.flatnonzero(y[ci] > y[pi])
+    return IsoSolution(y, objective, 1, residual)
 
 
 def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,

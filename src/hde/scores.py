@@ -12,6 +12,7 @@ from .errors import (
     MissingClassError,
     ParseError,
     RangeError,
+    check_unit_interval,
 )
 
 
@@ -40,8 +41,7 @@ class ScoreMatrix:
             raise ParseError("duplicate example ids")
         if len(set(self.class_ids)) != len(self.class_ids):
             raise ParseError("duplicate class ids")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise RangeError("scores must lie in [0, 1]")
+        check_unit_interval(self.values, "scores")
 
     @property
     def shape(self):

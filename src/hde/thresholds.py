@@ -20,6 +20,7 @@ from .errors import (
     NoPositivesWarning,
     ParseError,
     RangeError,
+    check_unit_interval,
 )
 from .scores import ScoreMatrix, count_violations
 
@@ -38,8 +39,7 @@ class ThresholdVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.class_ids),):
             raise AlignmentError("one threshold per class required")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise RangeError("thresholds must lie in [0, 1]")
+        check_unit_interval(self.values, "thresholds")
 
 
 @dataclass
@@ -104,8 +104,7 @@ def fit_fscore(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise EmptyGridError("candidate threshold grid is empty")
-    if grid.min() < 0.0 or grid.max() > 1.0:
-        raise RangeError("grid values must lie in [0, 1]")
+    check_unit_interval(grid, "grid values")
     _check_pair(train_scores, train_labels)
     grid = np.sort(grid)
 

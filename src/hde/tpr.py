@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dag import Dag, LevelMap
-from .errors import AlignmentError, RangeError, WeightRangeError
+from .errors import AlignmentError, WeightRangeError, check_unit_interval
 from .htd import _check_aligned
 
 POSITIVE_SELECTIONS = ("threshold", "adaptive")
@@ -48,8 +48,7 @@ class TprConfig:
         if self.thresholds is not None:
             t = np.asarray(getattr(self.thresholds, "values", self.thresholds),
                            dtype=np.float64)
-            if t.size and (t.min() < 0.0 or t.max() > 1.0):
-                raise RangeError("thresholds must lie in [0, 1]")
+            check_unit_interval(t, "thresholds")
             self.thresholds = t
         if self.w is not None and not (0.0 <= self.w <= 1.0):
             raise WeightRangeError(f"w must lie in [0, 1], got {self.w}")

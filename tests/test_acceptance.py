@@ -31,7 +31,7 @@ from hde.tpr import _bottom_up_matrix
 import per_node_reference as ref
 from conftest import random_dag, threshold_config
 
-ISO_EPS = 1e-9
+ISO_EPS = 0.0
 
 
 def _ok(n, msg):

@@ -77,9 +77,8 @@ class TestCorrect:
             assert run("correct", "--dag", fx / "dag.tsv", "--scores",
                        fx / "scores.tsv", "--method", method, *extra,
                        "-o", out) == 0
-            eps = "1e-9" if method == "iso-tpr" else "0"
             assert run("validate", "--dag", fx / "dag.tsv", "--scores", out,
-                       "--eps", eps, "-o", fx / "report.tsv") == 0
+                       "--eps", "0", "-o", fx / "report.tsv") == 0
 
     def test_missing_scores_file(self, fx, capsys):
         code = run("correct", "--dag", fx / "dag.tsv", "--scores",
@@ -156,6 +155,16 @@ class TestCorrect:
         lines = capsys.readouterr().err.splitlines()
         assert [l.startswith("E_CONVERGENCE:") for l in lines] == [True]
 
+    def test_nan_in_thresholds_file_is_io_error(self, fx, capsys):
+        # like a NaN score, a NaN threshold is a bad input value
+        (fx / "thr.tsv").write_text(THRESHOLDS.replace("c\t0.5", "c\tnan"))
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "tpr",
+                   "--thresholds-file", fx / "thr.tsv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_IO:") and "[0, 1]" in err
+
     def test_iso_on_flat_needs_no_threshold_source(self, fx):
         out = fx / "out.tsv"
         assert run("correct", "--dag", fx / "dag.tsv", "--scores",
@@ -164,6 +173,35 @@ class TestCorrect:
         dag = build_dag([tuple(l.split("\t")) for l in DIAMOND.splitlines()])
         expected = isotonic_project(dag, [0.9, 0.5, 0.7, 0.6]).values
         assert read_scores(out).values[0].tolist() == expected.tolist()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["correct", "--scores", "scores.tsv", "--method", "htd"],
+        ["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
+         "--method", "magic"],
+        ["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
+         "--method", "tpr", "--threshold", "abc"],
+        ["eval", "--dag", "dag.tsv", "--scores", "scores.tsv",
+         "--labels", "scores.tsv"],
+        ["eval", "--dag", "dag.tsv", "--scores", "scores.tsv",
+         "--labels", "scores.tsv", "--threshold", "0.9",
+         "--thresholds-file", "thr.tsv"]],
+        ids=["no-command", "no-dag", "bad-method", "bad-threshold",
+             "eval-no-threshold", "eval-two-thresholds"])
+    def test_usage_error_is_one_param_line(self, fx, capsys, argv):
+        argv = [fx / a if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [l.startswith("E_PARAM:") for l in lines] == [True]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["correct", "--help"]])
+    def test_help_and_version_exit_zero(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
 
 
 class TestLevels:
@@ -281,15 +319,18 @@ class TestFitThresholdsAndEval:
         ("global", ["--t", "0.5", "--grid", "0.1:0.9:0.1"]),
         ("percentile", ["--k", "50", "--grid", "0.1:0.9:0.1"]),
         ("fscore", ["--t", "0.5"]), ("percentile", ["--k", "50", "--t", "0.5"]),
-        ("global", ["--t", "0.5", "--k", "50"]), ("fscore", ["--k", "50"])])
+        ("global", ["--t", "0.5", "--k", "50"]), ("fscore", ["--k", "50"]),
+        ("global", ["--t", "0.5"])])
     def test_unused_option_is_param_error(self, tmp_path, capsys, strategy,
                                           extra):
+        # --scores and --labels are unused by --strategy global
         self.make_training(tmp_path)
         assert run("fit-thresholds", "--dag", tmp_path / "tdag.tsv",
                    "--scores", tmp_path / "tscores.tsv",
                    "--labels", tmp_path / "tlabels.tsv",
                    "--strategy", strategy, *extra) == 3
-        assert capsys.readouterr().err.startswith("E_PARAM:")
+        lines = capsys.readouterr().err.splitlines()
+        assert [l.startswith("E_PARAM:") for l in lines] == [True]
 
     def test_missing_k(self, tmp_path):
         self.make_training(tmp_path)

@@ -41,12 +41,32 @@ class TestBuildDag:
     def test_cycle_below_root_is_reported(self):
         with pytest.raises(CycleError) as err:
             build_dag([("r", "a"), ("a", "b"), ("b", "c"), ("c", "a")])
-        cyc = err.value.cycle
-        assert cyc[0] == cyc[-1]
-        assert set(cyc) <= {"a", "b", "c"}
-        # the reported walk is a real cycle
-        edges = {("a", "b"), ("b", "c"), ("c", "a")}
-        assert all((cyc[i], cyc[i + 1]) in edges for i in range(len(cyc) - 1))
+        assert set(err.value.cycle) <= {"a", "b", "c"}
+        rng = np.random.default_rng(61)
+        graphs = [{("r", "a"), ("a", "b"), ("b", "c"), ("c", "a")}]
+        for _ in range(100):
+            n = int(rng.integers(4, 30))
+            v = [f"n{i}" for i in range(n)]
+            pairs = rng.integers(0, n, size=(3 * n, 2))
+            acyclic = ({(v[i], v[i + 1]) for i in range(n - 1)}
+                       | {(v[i], v[j]) for i, j in pairs if i < j})
+            top = int(rng.integers(1, n - 1))
+            below = int(rng.integers(top + 1, n))
+            graphs += [
+                acyclic | {(v[-1], v[0])},  # no root
+                acyclic | {(v[j], v[i]) for i, j in pairs[:6] if i < j}
+                    | {(v[-1], v[1])},  # several cycles
+                acyclic | {(v[below], v[top])},  # an acyclic part above a cycle
+            ]
+        for edges in graphs:
+            edges = sorted(edges)
+            with pytest.raises(CycleError) as err:
+                build_dag([edges[k] for k in rng.permutation(len(edges))])
+            cyc = err.value.cycle
+            # the reported walk is a real cycle
+            assert cyc[0] == cyc[-1]
+            assert len(set(cyc[:-1])) == len(cyc) - 1 >= 2
+            assert all(e in edges for e in zip(cyc, cyc[1:]))
 
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):

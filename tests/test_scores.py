@@ -95,8 +95,9 @@ class TestDiscreteContinuousAgreement:
 
 class TestScoreMatrix:
     def test_range_enforced(self):
-        with pytest.raises(RangeError):
-            ScoreMatrix(["e1"], ["a"], np.array([[1.5]]))
+        for bad in (1.5, np.nan):
+            with pytest.raises(RangeError):
+                ScoreMatrix(["e1"], ["a"], np.array([[bad]]))
 
     def test_duplicate_examples(self):
         with pytest.raises(ParseError):

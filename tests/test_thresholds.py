@@ -53,8 +53,9 @@ class TestFitGlobal:
         assert fit_global(0.0, ["a"]).values.tolist() == [0.0]
 
     def test_out_of_range(self):
-        with pytest.raises(RangeError):
-            fit_global(1.1, ["a"])
+        for bad in (1.1, float("nan")):
+            with pytest.raises(RangeError):
+                fit_global(bad, ["a"])
 
 
 class TestFitFscore:
@@ -121,6 +122,12 @@ class TestFitFscore:
         scores, labels = matrix_pair([[0.5]], [[1]])
         with pytest.raises(EmptyGridError):
             fit_fscore(scores, labels, np.array([]))
+
+    def test_grid_out_of_range(self):
+        scores, labels = matrix_pair([[0.5]], [[1]])
+        for bad in (1.5, np.nan):
+            with pytest.raises(RangeError):
+                fit_fscore(scores, labels, np.array([0.5, bad]))
 
     def test_misaligned(self):
         s, _ = matrix_pair([[0.5]], [[1]])

@@ -258,5 +258,6 @@ class TestConfigValidation:
 
     def test_threshold_range(self):
         from hde import RangeError
-        with pytest.raises(RangeError):
-            TprConfig(thresholds=np.array([1.2]))
+        for bad in (1.2, np.nan):
+            with pytest.raises(RangeError):
+                TprConfig(thresholds=np.array([bad]))
