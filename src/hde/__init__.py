@@ -61,4 +61,4 @@ from .thresholds import (
     read_thresholds,
     write_thresholds,
 )
-from .tpr import TprConfig, positive_children, tpr_correct, tpr_correct_matrix
+from .tpr import TprConfig, tpr_correct, tpr_correct_matrix

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .dag import Dag, LevelMap, edge_index_arrays
 from .errors import AlignmentError, ConvergenceError
@@ -41,7 +40,9 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
     e_child - e_parent per edge, the projection of z onto {y : Ay <= 0} is
     y = z - A'lam where lam >= 0 minimizes ||A'lam - z||, a plain
     non-negative least-squares problem.  NNLS running out of iterations
-    (scipy raises RuntimeError) is reported as ConvergenceError.
+    (scipy raises RuntimeError) is reported as ConvergenceError.  scipy is
+    imported here, not at module level, so that no other path of the
+    package pays its start-up cost.
 
     The solve leaves rounding-sized violations on some edges; each violating
     child is lowered to its parents' minimum until none is left (at most one
@@ -54,6 +55,8 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
             f"row has {z.shape} values for a {len(dag)}-node taxonomy")
     if not dag.edges:
         return IsoSolution(z.copy(), 0.0, 0, 0.0)
+    from scipy.optimize import nnls
+
     pi, ci = edge_index_arrays(dag)
     n, m = len(dag), len(dag.edges)
     at = np.zeros((n, m))

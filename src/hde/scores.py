@@ -115,15 +115,32 @@ def count_violations(dag: Dag, values: np.ndarray, eps: float = 0.0) -> int:
     return int((values[:, ci] > values[:, pi] + eps).sum())
 
 
+def _check_rows_in_range(rows, linenos) -> np.ndarray:
+    """Assemble parsed rows into an array; RangeError names the first bad cell.
+
+    The cell is the first out-of-[0, 1] (or NaN) value in file order, given
+    with its line number and the repr of the parsed Python float.
+    """
+    values = np.array(rows, dtype=np.float64)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise RangeError(
+            f"line {linenos[r]}: value {rows[r][c]!r} outside [0, 1]")
+    return values
+
+
 def read_scores(path) -> ScoreMatrix:
     """Read a scores TSV: header `example<TAB>class...`, one row per example.
 
     `#` comment lines before the header are kept on the returned matrix.
+    An out-of-range value is reported ahead of a parse error on a later line.
     """
     comments = []
     header = None
     example_ids = []
     rows = []
+    linenos = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -141,21 +158,21 @@ def read_scores(path) -> ScoreMatrix:
                 header = parts[1:]
                 continue
             if len(parts) != len(header) + 1:
+                _check_rows_in_range(rows, linenos)
                 raise ParseError(
                     f"expected {len(header) + 1} columns, got {len(parts)}",
                     line=lineno)
-            example_ids.append(parts[0])
             try:
-                vals = [float(v) for v in parts[1:]]
+                rows.append(list(map(float, parts[1:])))
             except ValueError as exc:
+                _check_rows_in_range(rows, linenos)
                 raise ParseError(str(exc), line=lineno) from None
-            for v in vals:
-                if not (0.0 <= v <= 1.0):
-                    raise RangeError(f"line {lineno}: value {v!r} outside [0, 1]")
-            rows.append(vals)
+            example_ids.append(parts[0])
+            linenos.append(lineno)
     if header is None:
         raise ParseError(f"no header found in {path}")
-    values = np.array(rows, dtype=np.float64).reshape(len(example_ids), len(header))
+    values = _check_rows_in_range(rows, linenos).reshape(
+        len(example_ids), len(header))
     return ScoreMatrix(example_ids, list(header), values, comments=comments)
 
 
@@ -163,13 +180,9 @@ def write_scores_stream(matrix: ScoreMatrix, fh, digits: int | None = None) -> N
     for c in matrix.comments:
         fh.write(f"# {c}\n")
     fh.write("example\t" + "\t".join(matrix.class_ids) + "\n")
-    for i, ex in enumerate(matrix.example_ids):
-        row = matrix.values[i]
-        if digits is None:
-            cells = [repr(float(v)) for v in row]
-        else:
-            cells = [f"{v:.{digits}f}" for v in row]
-        fh.write(ex + "\t" + "\t".join(cells) + "\n")
+    fmt = repr if digits is None else f"{{:.{digits}f}}".format
+    for ex, row in zip(matrix.example_ids, matrix.values):
+        fh.write(ex + "\t" + "\t".join(map(fmt, row.tolist())) + "\n")
 
 
 def write_scores(matrix: ScoreMatrix, path, digits: int | None = None) -> None:

@@ -56,25 +56,6 @@ class TprConfig:
             raise ValueError("threshold selection requires a threshold vector")
 
 
-def positive_children(dag: Dag, node: str, current, flat, config: TprConfig):
-    """Ordered tuple of the node's children admitted into the positive set.
-
-    `current` holds the finalized bottom-up scores (children of `node` are
-    already final by level order); `flat` the uncorrected row.  Strict
-    inequality in both selection modes.
-    """
-    current = np.asarray(current, dtype=np.float64)
-    flat = np.asarray(flat, dtype=np.float64)
-    out = []
-    for c in dag.children(node):
-        j = dag.index(c)
-        cutoff = (config.thresholds[j] if config.positive_selection == "threshold"
-                  else flat[dag.index(node)])
-        if current[j] > cutoff:
-            out.append(c)
-    return tuple(out)
-
-
 def _check_thresholds(dag: Dag, config: TprConfig):
     if config.thresholds is not None and config.thresholds.shape != (len(dag),):
         raise AlignmentError("threshold vector not aligned with the taxonomy")

@@ -4,6 +4,8 @@ These are the original node-at-a-time HTD, TPR bottom-up and TPR top-down
 passes.  They visit one node per step and gather its parents, children or
 descendants by name, so they are slow but plainly follow the algorithm;
 `test_plan.py` requires the compiled kernels to match them bit for bit.
+`positive_children` restates the bottom-up positive-set selection for one
+node; `test_tpr.py` checks its membership rules.
 """
 
 import numpy as np
@@ -17,6 +19,25 @@ def htd_matrix(dag, levels, flat):
             pidx = [dag.index(p) for p in dag.parents(n)]
             np.minimum(flat[:, i], out[:, pidx].min(axis=1), out=out[:, i])
     return out
+
+
+def positive_children(dag, node, current, flat, config):
+    """Ordered tuple of the node's children admitted into the positive set.
+
+    `current` holds the finalized bottom-up scores (children of `node` are
+    already final by level order); `flat` the uncorrected row.  Strict
+    inequality in both selection modes.
+    """
+    current = np.asarray(current, dtype=np.float64)
+    flat = np.asarray(flat, dtype=np.float64)
+    out = []
+    for c in dag.children(node):
+        j = dag.index(c)
+        cutoff = (config.thresholds[j] if config.positive_selection == "threshold"
+                  else flat[dag.index(node)])
+        if current[j] > cutoff:
+            out.append(c)
+    return tuple(out)
 
 
 def sub_dag_distances(dag, node):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hde import build_dag, isotonic_project, read_scores, read_thresholds
@@ -7,6 +13,8 @@ DIAMOND = "r\ta\nr\tb\na\tc\nb\tc\n"
 SKIP = "r\ta\na\tc\nr\tc\n"
 DIAMOND_SCORES = "example\tr\ta\tb\tc\ne1\t0.9\t0.5\t0.7\t0.6\n"
 THRESHOLDS = "r\t0.5\na\t0.5\nb\t0.5\nc\t0.5\n"
+DIAMOND_LABELS = "example\tr\ta\tb\tc\ne1\t1\t0\t1\t0\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -15,6 +23,7 @@ def fx(tmp_path):
     (tmp_path / "skip.tsv").write_text(SKIP)
     (tmp_path / "scores.tsv").write_text(DIAMOND_SCORES)
     (tmp_path / "thr.tsv").write_text(THRESHOLDS)
+    (tmp_path / "labels.tsv").write_text(DIAMOND_LABELS)
     return tmp_path
 
 
@@ -148,7 +157,7 @@ class TestCorrect:
                                                        monkeypatch):
         def exhausted(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
-        monkeypatch.setattr("hde.iso.nnls", exhausted)
+        monkeypatch.setattr("scipy.optimize.nnls", exhausted)
         code = run("correct", "--dag", fx / "dag.tsv", "--scores",
                    fx / "scores.tsv", "--method", "iso-tpr", "--iso-on-flat")
         assert code == 4
@@ -361,3 +370,47 @@ class TestFitThresholdsAndEval:
                    "--threshold", "0.5") == 2
         err = capsys.readouterr().err
         assert err.startswith("E_IO:") and "[0, 1]" in err
+
+
+class TestScipyStaysUnloaded:
+    """Only ISO-TPR needs scipy; no other path may import it.
+
+    Each case runs in a fresh interpreter, because other tests in the same
+    session import scipy.
+    """
+
+    SCRIPT = ("import json, sys\n"
+              "import hde, hde.cli\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "code = hde.cli.main(argv) if argv else 0\n"
+              "print(json.dumps([code, 'scipy' in sys.modules]))\n")
+
+    def fresh_run(self, fx, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
+            cwd=fx, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 0),
+        (["levels", "--dag", "dag.tsv"], 0),
+        (["validate", "--dag", "dag.tsv", "--scores", "scores.tsv"], 1),
+        (["eval", "--dag", "dag.tsv", "--scores", "scores.tsv",
+          "--labels", "labels.tsv", "--threshold", "0.5"], 0),
+        (["fit-thresholds", "--dag", "dag.tsv", "--strategy", "fscore",
+          "--scores", "scores.tsv", "--labels", "labels.tsv"], 0),
+        (["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
+          "--method", "htd"], 0),
+        (["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
+          "--method", "tpr", "--thresholds-file", "thr.tsv"], 0)],
+        ids=["import", "levels", "validate", "eval", "fit-fscore",
+             "correct-htd", "correct-tpr"])
+    def test_scipy_not_imported(self, fx, argv, code):
+        assert self.fresh_run(fx, argv) == [code, False]
+
+    def test_iso_tpr_imports_scipy(self, fx):
+        argv = ["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
+                "--method", "iso-tpr", "--threshold", "0.5"]
+        assert self.fresh_run(fx, argv) == [0, True]

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hde import (
     AlignmentError,
@@ -130,6 +133,24 @@ class TestScoresIO:
         with pytest.raises(ParseError, match="line 2"):
             read_scores(path)
 
+    @pytest.mark.parametrize("line5", ["e4\t0.5", "e4\t0.5\tx"],
+                             ids=["column-count", "unparseable"])
+    def test_range_error_precedes_later_parse_error(self, tmp_path, line5):
+        path = tmp_path / "s.tsv"
+        path.write_text("example\tr\ta\ne1\t0.9\t0.5\ne2\t0.9\t1.5\n"
+                        f"e3\t0.9\tnan\n{line5}\n")
+        with pytest.raises(RangeError,
+                           match=r"^line 3: value 1\.5 outside \[0, 1\]$"):
+            read_scores(path)
+
+    def test_nan_is_range_error(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("example\tr\ta\ne1\t0.9\t0.5\n# note\n\n"
+                        "e2\tnan\t1.5\n")
+        with pytest.raises(RangeError,
+                           match=r"^line 5: value nan outside \[0, 1\]$"):
+            read_scores(path)
+
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(8)
         m = ScoreMatrix([f"e{i}" for i in range(5)],
@@ -144,6 +165,46 @@ class TestScoresIO:
         path = tmp_path / "s.tsv"
         write_scores(m, path, digits=3)
         assert read_scores(path).values[0, 0] == 0.123
+
+
+UNIT_FLOATS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 0.5, np.nextafter(0.5, 0.0),
+                     np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]))
+SCORE_VALUES = st.tuples(st.integers(0, 5), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=UNIT_FLOATS))
+
+
+def per_scalar_text(matrix, digits):
+    """The writer's text as formatted one numpy scalar at a time."""
+    lines = [f"# {c}" for c in matrix.comments]
+    lines.append("example\t" + "\t".join(matrix.class_ids))
+    for ex, row in zip(matrix.example_ids, matrix.values):
+        cells = [repr(float(v)) if digits is None else f"{v:.{digits}f}"
+                 for v in row]
+        lines.append(ex + "\t" + "\t".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestScoresRoundTrip:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(values=SCORE_VALUES, digits=st.sampled_from([None, 0, 1, 3, 17]))
+    def test_write_read_round_trip(self, tmp_path_factory, values, digits):
+        m = ScoreMatrix([f"e{i}" for i in range(values.shape[0])],
+                        [f"c{j}" for j in range(values.shape[1])],
+                        values, comments=["a note"])
+        path = tmp_path_factory.mktemp("rt") / "s.tsv"
+        write_scores(m, path, digits=digits)
+        assert path.read_text(encoding="utf-8") == per_scalar_text(m, digits)
+        if digits is None:
+            back = read_scores(path)
+            assert back.example_ids == m.example_ids
+            assert back.class_ids == m.class_ids
+            assert back.comments == m.comments
+            assert back.values.shape == values.shape
+            # bit for bit: -0.0 must stay -0.0
+            assert back.values.tobytes() == values.tobytes()
 
 
 class TestAlignToDag:

@@ -8,12 +8,12 @@ from hde import (
     check_valid_continuous,
     compute_levels,
     htd_correct,
-    positive_children,
     tpr_correct,
 )
 from hde.tpr import tpr_correct_matrix
 
 from conftest import random_dag, random_scores, threshold_config
+from per_node_reference import positive_children
 
 DIAMOND_Y = np.array([0.9, 0.5, 0.7, 0.6])
 
