@@ -25,8 +25,8 @@ from .htd import htd_correct_matrix
 from .iso import iso_tpr_correct_matrix
 from .scores import (
     ScoreMatrix,
+    _violations,
     align_to_dag,
-    check_valid_continuous,
     read_scores,
     write_scores_stream,
 )
@@ -150,15 +150,11 @@ def cmd_validate(args) -> int:
         raise _ParamError("--eps must be finite")
     dag = _load_dag(args)
     matrix = align_to_dag(read_scores(args.scores), dag)
-    any_bad = False
     lines = ["example\tparent\tchild\tparent_score\tchild_score"]
-    for i, ex in enumerate(matrix.example_ids):
-        report = check_valid_continuous(dag, matrix.values[i], eps=args.eps)
-        for p, c, ps, cs in report.violations:
-            any_bad = True
-            lines.append(f"{ex}\t{p}\t{c}\t{repr(ps)}\t{repr(cs)}")
+    for i, p, c, ps, cs in _violations(dag, matrix.values, args.eps):
+        lines.append(f"{matrix.example_ids[i]}\t{p}\t{c}\t{ps!r}\t{cs!r}")
     _emit(args.output, lambda fh: fh.write("\n".join(lines) + "\n"))
-    return 1 if any_bad else 0
+    return 1 if len(lines) > 1 else 0
 
 
 def cmd_fit_thresholds(args) -> int:

@@ -19,6 +19,7 @@ from .errors import (
     DagError,
     DuplicateEdgeError,
     EmptyGraphError,
+    ParseError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -386,24 +387,35 @@ def compute_levels(dag: Dag) -> LevelMap:
     return LevelMap(dag=dag, dist=dist, levels=levels, max_level=max(levels))
 
 
+def _records(path, comments=None):
+    """Yield (lineno, tab-split fields) of each line of a UTF-8 file that is
+    neither blank nor a `#` comment, adding comment texts to `comments` if
+    given.  Not UTF-8: ParseError, no line (text mode decodes in chunks)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                if line.lstrip().startswith("#"):
+                    if comments is not None:
+                        comments.append(line.lstrip("# ").rstrip())
+                    continue
+                yield lineno, line.rstrip("\n").split("\t")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def read_edge_list(path) -> list:
     """Parse a TSV edge-list file into (parent, child) pairs.
 
     One `parent<TAB>child` pair per line; `#` comment lines and blank
     lines are ignored.
     """
-    from .errors import ParseError
-
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError("expected 'parent<TAB>child'", line=lineno)
-            pairs.append((parts[0], parts[1]))
+    for lineno, parts in _records(path):
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParseError("expected 'parent<TAB>child'", line=lineno)
+        pairs.append((parts[0], parts[1]))
     if not pairs:
         raise EmptyGraphError(f"no edges found in {path}")
     return pairs

@@ -40,6 +40,10 @@ class AlignmentError(HdeError):
     """Score row/matrix does not line up with the taxonomy."""
 
 
+class MissingClassError(AlignmentError):
+    """Scores or thresholds lack a required taxonomy class."""
+
+
 class RangeError(HdeError):
     """A numeric value is outside its permitted interval."""
 
@@ -52,10 +56,6 @@ class ParseError(HdeError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class MissingClassError(HdeError):
-    """Input score file lacks a required class column."""
 
 
 def check_unit_interval(values, what):

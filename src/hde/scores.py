@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import Dag, edge_index_arrays
+from .dag import Dag, _records, edge_index_arrays
 from .errors import (
     AlignmentError,
     MissingClassError,
@@ -97,22 +97,33 @@ def check_valid_continuous(dag: Dag, row, eps: float = 0.0) -> ViolationReport:
     if row.shape != (len(dag),):
         raise AlignmentError(
             f"row has {row.shape} values for a {len(dag)}-node taxonomy")
-    pi, ci = edge_index_arrays(dag)
-    bad = []
-    max_gap = 0.0
-    for k in np.flatnonzero(row[ci] > row[pi] + eps):
-        p, c = dag.edges[k]
-        ps, cs = row[pi[k]], row[ci[k]]
-        bad.append((p, c, float(ps), float(cs)))
-        max_gap = max(max_gap, float(cs - ps))
-    return ViolationReport(tuple(bad), len(bad), max_gap)
+    bad = [v[1:] for v in _violations(dag, row[None], eps)]
+    gaps = [cs - ps for _, _, ps, cs in bad]
+    return ViolationReport(tuple(bad), len(bad), max([0.0] + gaps))
 
 
 def count_violations(dag: Dag, values: np.ndarray, eps: float = 0.0) -> int:
     """Total number of violating (edge, example) pairs in a whole matrix."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    return int(_violation_mask(dag, values, eps).sum())
+
+
+def _violation_mask(dag: Dag, values: np.ndarray, eps: float = 0.0):
+    """(rows, edges) mask of child > parent + eps, edges in `dag.edges`
+    order: the one statement of the rule that every violation check uses."""
     pi, ci = edge_index_arrays(dag)
-    return int((values[:, ci] > values[:, pi] + eps).sum())
+    return values[:, ci] > values[:, pi] + eps
+
+
+def _violations(dag: Dag, values: np.ndarray, eps: float = 0.0):
+    """Yield (row, parent, child, parent score, child score) for every
+    violation in a 2-D score matrix, row by row, in edge order in a row."""
+    pi, ci = edge_index_arrays(dag)
+    for i, bad in enumerate(_violation_mask(dag, values, eps)):
+        ks = np.flatnonzero(bad)
+        for k, ps, cs in zip(ks.tolist(), values[i, pi[ks]].tolist(),
+                             values[i, ci[ks]].tolist()):
+            yield (i, *dag.edges[k], ps, cs)
 
 
 def _check_rows_in_range(rows, linenos) -> np.ndarray:
@@ -133,44 +144,33 @@ def _check_rows_in_range(rows, linenos) -> np.ndarray:
 def read_scores(path) -> ScoreMatrix:
     """Read a scores TSV: header `example<TAB>class...`, one row per example.
 
-    `#` comment lines before the header are kept on the returned matrix.
+    The texts of `#` comment lines are kept on the returned matrix.
     An out-of-range value is reported ahead of a parse error on a later line.
     """
     comments = []
-    header = None
+    records = _records(path, comments)
+    lineno, parts = next(records, (None, None))
+    if parts is None:
+        raise ParseError(f"no header found in {path}")
+    if parts[0] != "example" or len(parts) < 2:
+        raise ParseError(
+            "header must start with 'example' followed by class ids",
+            line=lineno)
+    header = parts[1:]
     example_ids = []
     rows = []
     linenos = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                comments.append(line.lstrip("# ").rstrip())
-                continue
-            parts = line.split("\t")
-            if header is None:
-                if parts[0] != "example" or len(parts) < 2:
-                    raise ParseError(
-                        "header must start with 'example' followed by class ids",
-                        line=lineno)
-                header = parts[1:]
-                continue
+    for lineno, parts in records:
+        try:
             if len(parts) != len(header) + 1:
-                _check_rows_in_range(rows, linenos)
-                raise ParseError(
-                    f"expected {len(header) + 1} columns, got {len(parts)}",
-                    line=lineno)
-            try:
-                rows.append(list(map(float, parts[1:])))
-            except ValueError as exc:
-                _check_rows_in_range(rows, linenos)
-                raise ParseError(str(exc), line=lineno) from None
-            example_ids.append(parts[0])
-            linenos.append(lineno)
-    if header is None:
-        raise ParseError(f"no header found in {path}")
+                raise ValueError(
+                    f"expected {len(header) + 1} columns, got {len(parts)}")
+            rows.append(list(map(float, parts[1:])))
+        except ValueError as exc:
+            _check_rows_in_range(rows, linenos)
+            raise ParseError(str(exc), line=lineno) from None
+        example_ids.append(parts[0])
+        linenos.append(lineno)
     values = _check_rows_in_range(rows, linenos).reshape(
         len(example_ids), len(header))
     return ScoreMatrix(example_ids, list(header), values, comments=comments)
@@ -197,27 +197,28 @@ def align_to_dag(matrix: ScoreMatrix, dag: Dag) -> ScoreMatrix:
     Missing non-root classes raise MissingClassError; columns that are not
     taxonomy nodes raise AlignmentError.
     """
-    have = {c: j for j, c in enumerate(matrix.class_ids)}
-    extra = [c for c in matrix.class_ids if c not in dag]
-    if extra:
-        raise AlignmentError(f"columns not in the taxonomy: {extra}")
-    missing = [n for n in dag.nodes if n not in have]
-    imputed_root = False
-    if missing == [dag.root]:
-        imputed_root = True
-    elif missing:
-        raise MissingClassError(f"scores lack class columns: "
-                                f"{[m for m in missing if m != dag.root]}")
-
-    n_ex = len(matrix.example_ids)
-    values = np.empty((n_ex, len(dag)), dtype=np.float64)
-    for j, n in enumerate(dag.nodes):
-        if n in have:
-            values[:, j] = matrix.values[:, have[n]]
-        else:
-            values[:, j] = 1.0
+    idx = _node_columns(matrix.class_ids, dag, "columns",
+                        "scores lack class columns")
+    values = matrix.values[:, idx]
     comments = list(matrix.comments)
-    if imputed_root:
+    imputed = idx < 0
+    if imputed.any():
+        values[:, imputed] = 1.0
         comments.append(f"root column '{dag.root}' imputed as 1.0")
     return ScoreMatrix(list(matrix.example_ids), list(dag.nodes), values,
                        comments=comments)
+
+
+def _node_columns(class_ids, dag: Dag, extra_what, missing_what) -> np.ndarray:
+    """Position in `class_ids` of each node of `dag`, -1 for a missing root;
+    extra classes raise AlignmentError, missing non-root nodes
+    MissingClassError, each message led by the caller's wording."""
+    extra = [c for c in class_ids if c not in dag]
+    if extra:
+        raise AlignmentError(f"{extra_what} not in the taxonomy: {extra}")
+    have = {c: j for j, c in enumerate(class_ids)}
+    missing = [n for n in dag.nodes if n not in have and n != dag.root]
+    if missing:
+        raise MissingClassError(f"{missing_what}: {missing}")
+    return np.fromiter((have.get(n, -1) for n in dag.nodes), dtype=np.intp,
+                       count=len(dag))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import Dag, edge_index_arrays
+from .dag import Dag, _records, edge_index_arrays
 from .errors import (
     AlignmentError,
     EmptyGridError,
@@ -22,7 +22,7 @@ from .errors import (
     RangeError,
     check_unit_interval,
 )
-from .scores import ScoreMatrix, count_violations
+from .scores import ScoreMatrix, _node_columns, _violation_mask
 
 DEFAULT_GRID = np.round(np.arange(0.01, 1.00, 0.01), 2)
 
@@ -39,6 +39,8 @@ class ThresholdVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.class_ids),):
             raise AlignmentError("one threshold per class required")
+        if len(set(self.class_ids)) != len(self.class_ids):
+            raise ParseError("duplicate class ids")
         check_unit_interval(self.values, "thresholds")
 
 
@@ -164,13 +166,11 @@ def evaluate(dag: Dag, scores: ScoreMatrix, labels: ScoreMatrix,
                              scores.values > thresholds.values,
                              labels.values > 0.5)
 
-    count = count_violations(dag, scores.values)
-    max_gap = 0.0
-    if count:
-        pi, ci = edge_index_arrays(dag)
-        gaps = scores.values[:, ci] - scores.values[:, pi]
-        max_gap = float(gaps[gaps > 0.0].max())
-    return EvalReport(metrics, scores.values.shape[0], count, max_gap)
+    v = scores.values
+    pi, ci = edge_index_arrays(dag)
+    gaps = (v[:, ci] - v[:, pi])[_violation_mask(dag, v)]
+    return EvalReport(metrics, v.shape[0], gaps.size,
+                      float(gaps.max(initial=0.0)))
 
 
 def _check_pair(scores: ScoreMatrix, labels: ScoreMatrix):
@@ -186,19 +186,14 @@ def _check_pair(scores: ScoreMatrix, labels: ScoreMatrix):
 def read_thresholds(path) -> ThresholdVector:
     """Read a `class<TAB>threshold` TSV."""
     ids, vals = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected 'class<TAB>threshold'", line=lineno)
-            ids.append(parts[0])
-            try:
-                vals.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    for lineno, parts in _records(path):
+        if len(parts) != 2:
+            raise ParseError("expected 'class<TAB>threshold'", line=lineno)
+        ids.append(parts[0])
+        try:
+            vals.append(float(parts[1]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     if not ids:
         raise ParseError(f"no thresholds found in {path}")
     return ThresholdVector(ids, np.array(vals), "file")
@@ -218,12 +213,7 @@ def write_thresholds(tv: ThresholdVector, path) -> None:
 
 def align_thresholds(tv: ThresholdVector, dag: Dag) -> ThresholdVector:
     """Reorder a threshold vector to the Dag node order (root defaults to 1.0)."""
-    have = dict(zip(tv.class_ids, tv.values))
-    extra = [c for c in tv.class_ids if c not in dag]
-    if extra:
-        raise AlignmentError(f"threshold classes not in the taxonomy: {extra}")
-    missing = [n for n in dag.nodes if n not in have and n != dag.root]
-    if missing:
-        raise AlignmentError(f"thresholds lack classes: {missing}")
-    vals = np.array([have.get(n, 1.0) for n in dag.nodes])
+    idx = _node_columns(tv.class_ids, dag, "threshold classes",
+                        "thresholds lack classes")
+    vals = np.where(idx < 0, 1.0, tv.values[idx])
     return ThresholdVector(list(dag.nodes), vals, tv.strategy_tag)

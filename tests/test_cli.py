@@ -1,12 +1,26 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hde import build_dag, isotonic_project, read_scores, read_thresholds
+from conftest import random_dag
+from hde import (
+    ScoreMatrix,
+    build_dag,
+    isotonic_project,
+    read_scores,
+    read_thresholds,
+    write_edge_list,
+    write_scores,
+)
 from hde.cli import MAX_GRID_STEPS, _ParamError, _parse_grid, main
 
 DIAMOND = "r\ta\nr\tb\na\tc\nb\tc\n"
@@ -174,6 +188,16 @@ class TestCorrect:
         err = capsys.readouterr().err
         assert err.startswith("E_IO:") and "[0, 1]" in err
 
+    def test_repeated_class_in_thresholds_file_is_io_error(self, fx, capsys):
+        # with the repeat accepted, the last value would silently win
+        (fx / "thr.tsv").write_text(THRESHOLDS + "a\t0.1\n")
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "tpr",
+                   "--thresholds-file", fx / "thr.tsv")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["E_IO: duplicate class ids"]
+
     def test_iso_on_flat_needs_no_threshold_source(self, fx):
         out = fx / "out.tsv"
         assert run("correct", "--dag", fx / "dag.tsv", "--scores",
@@ -238,6 +262,27 @@ class TestValidate:
         good = tmp_path / "good.tsv"
         good.write_text("example\tr\ta\tb\tc\ne1\t0.9\t0.8\t0.7\t0.6\n")
         assert run("validate", "--dag", fx / "dag.tsv", "--scores", good) == 0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_listing_matches_per_edge_loop(self, tmp_path, capsys, eps):
+        rng = np.random.default_rng(17)
+        dag = random_dag(rng, 300, 600)
+        values = rng.uniform(size=(50, len(dag)))
+        ids = [f"e{i}" for i in range(50)]
+        write_edge_list(dag, tmp_path / "dag.tsv")
+        write_scores(ScoreMatrix(ids, list(dag.nodes), values),
+                     tmp_path / "scores.tsv")
+        expected = ["example\tparent\tchild\tparent_score\tchild_score"]
+        for ex, row in zip(ids, values):
+            for p, c in dag.edges:
+                ps, cs = row[dag.index(p)], row[dag.index(c)]
+                if cs > ps + eps:
+                    expected.append(f"{ex}\t{p}\t{c}\t{float(ps)!r}"
+                                    f"\t{float(cs)!r}")
+        assert run("validate", "--dag", tmp_path / "dag.tsv", "--scores",
+                   tmp_path / "scores.tsv", "--eps", eps) == 1
+        assert capsys.readouterr().out.splitlines() == expected
+        assert len(expected) > 10000
 
     def test_nan_eps_is_param_error(self, fx, capsys):
         # every comparison with NaN is false, so it would pass any matrix
@@ -370,6 +415,77 @@ class TestFitThresholdsAndEval:
                    "--threshold", "0.5") == 2
         err = capsys.readouterr().err
         assert err.startswith("E_IO:") and "[0, 1]" in err
+
+
+# file bytes for the fuzzer: TSV punctuation, numbers, class ids and one
+# byte that is not UTF-8
+FUZZ = st.lists(st.sampled_from(
+    [b"\t", b"\n", b"\r", b"#", *(b"%d" % d for d in range(10)), b".",
+     b"-", b"e", b"nan", b"inf", b"r", b"a", b"b", b"c", b"example",
+     b"\xff"]), max_size=30).map(b"".join)
+
+
+def fuzzed(valid):
+    """A valid file, a fuzzed one, or a valid one with fuzz spliced in."""
+    valid = valid.encode()
+    splice = st.tuples(st.integers(0, len(valid)), FUZZ)
+    return st.one_of(st.just(valid), FUZZ,
+                     splice.map(lambda t: valid[:t[0]] + t[1] + valid[t[0]:]))
+
+
+class TestInputBoundary:
+    """Every input file goes through one reader: a bad file is one E_ line."""
+
+    @pytest.mark.parametrize("target, argv", [
+        ("dag.tsv", ["levels"]),
+        ("scores.tsv", ["correct", "--scores", "scores.tsv",
+                        "--method", "htd"]),
+        ("scores.tsv", ["validate", "--scores", "scores.tsv"]),
+        ("thr.tsv", ["correct", "--scores", "scores.tsv", "--method", "tpr",
+                     "--thresholds-file", "thr.tsv"]),
+        ("labels.tsv", ["eval", "--scores", "scores.tsv",
+                        "--labels", "labels.tsv", "--threshold", "0.5"])],
+        ids=["levels-dag", "correct-scores", "validate-scores",
+             "correct-thresholds-file", "eval-labels"])
+    def test_non_utf8_input_is_io_error(self, fx, capsys, target, argv):
+        path = fx / target
+        path.write_bytes(path.read_bytes().replace(b"a", b"a\xff", 1))
+        argv = [fx / a if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, "--dag", fx / "dag.tsv") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("E_IO:") and "not UTF-8" in lines[0]
+
+    COMMANDS = [
+        ["levels"],
+        ["validate", "--scores", "scores.tsv"],
+        ["correct", "--scores", "scores.tsv", "--method", "htd"],
+        ["correct", "--scores", "scores.tsv", "--method", "tpr",
+         "--thresholds-file", "thr.tsv"],
+        ["eval", "--scores", "scores.tsv", "--labels", "labels.tsv",
+         "--thresholds-file", "thr.tsv"],
+        ["fit-thresholds", "--scores", "scores.tsv", "--labels",
+         "labels.tsv", "--strategy", "fscore"]]
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(argv=st.sampled_from(COMMANDS), dag=fuzzed(DIAMOND),
+           scores=fuzzed(DIAMOND_SCORES), labels=fuzzed(DIAMOND_LABELS),
+           thresholds=fuzzed(THRESHOLDS))
+    def test_fuzzed_inputs_exit_cleanly(self, tmp_path_factory, argv, dag,
+                                        scores, labels, thresholds):
+        d = tmp_path_factory.mktemp("fuzz")
+        for name, data in (("dag.tsv", dag), ("scores.tsv", scores),
+                           ("labels.tsv", labels), ("thr.tsv", thresholds)):
+            (d / name).write_bytes(data)
+        argv = [d / a if a.endswith(".tsv") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(*argv, "--dag", d / "dag.tsv")
+        assert code in (0, 1, 2, 3)
+        if code >= 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("E_"), lines
 
 
 class TestScipyStaysUnloaded:
