@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"E_CONVERGENCE: {exc}", file=sys.stderr)
         return 4
-    except (HdeError, OSError) as exc:
+    except (HdeError, OSError, UnicodeEncodeError) as exc:
         print(f"E_IO: {exc}", file=sys.stderr)
         return 2
 

@@ -171,10 +171,11 @@ class LevelPlan:
     `down` holds, for levels 1..max_level, (nodes, parents, offsets): the
     level's node indices, their parents' indices concatenated in node order,
     and where each node's run of parents starts (`reduceat` offsets).
-    `up` holds blocks (nodes (nb,), children (nb, k), None), deepest level
-    first: the nodes of one level with exactly k children each, children
-    in edge order.  Exact counts keep every per-node sum the same length,
-    and so the same rounding, as a loop over single nodes.
+    `up` holds blocks (nodes (nb,), children (nb, w), None), deepest level
+    first: the nodes of one level with the same summation width w, children
+    in edge order, each row padded with the sentinel index n (see
+    `_width_blocks`).  Width groups add every per-node sum in the same
+    order, and so with the same rounding, as a loop over single nodes.
     """
 
     def __init__(self, levels: LevelMap):
@@ -198,14 +199,15 @@ class LevelPlan:
             self.down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
                               np.cumsum(indeg[ni]) - indeg[ni]))
         inner = level[pi] > 0  # the root is never blended
-        self.up = _count_blocks(level, pi[inner], ci[inner], None)
+        self.up = _width_blocks(level, pi[inner], ci[inner], None)
 
     @cached_property
     def descendants(self) -> list:
         """`up` with descendants instead of children, built on first use.
 
-        Each block is (nodes (nb,), descendants (nb, k), weights (nb, k)):
-        descendants in node order, weighted (d_max - dist + 1) / d_max,
+        Each block is (nodes (nb,), descendants (nb, w), weights (nb, w)):
+        descendants in node order, padded like `up` with weight 0, and
+        weighted (d_max - dist + 1) / d_max,
         where dist is the longest node-to-descendant path and d_max the
         largest such dist of the node.
         """
@@ -238,7 +240,7 @@ class LevelPlan:
                 lengths += [far[m] for m in desc]
                 longest += [max(far.values(), default=0)] * len(desc)
             d_max, dist = np.array(longest), np.array(lengths)
-            blocks += _count_blocks(
+            blocks += _width_blocks(
                 self._node_level, np.array(owners, dtype=np.intp),
                 np.array(members, dtype=np.intp), (d_max - dist + 1) / d_max)
         return blocks
@@ -258,31 +260,49 @@ class LevelPlan:
         return out
 
 
-def _count_blocks(level, owner, member, weight):
-    """Blocks (nodes, members (nb, k), weights (nb, k) or None), deepest
-    level first, each holding one level's owners of exactly k members.
+def _width_blocks(level, owner, member, weight):
+    """Blocks (nodes, members (nb, w), weights (nb, w) or None), deepest
+    level first, each holding one level's owners of one summation width w.
 
-    Members keep their given order within each owner.  A block holds at
-    most max(1, n_nodes // k) owners, so a gather over one block is no
-    larger than a gather over a whole score row.
+    An owner of k members has width k | 7 (the k mod 8 tail filled up to
+    7) for k < 128, and k itself from numpy's pairwise block size 128 up.
+    Its member row is padded at the end with the sentinel index n_nodes
+    and weight 0.  numpy sums a one-row gather with 8 pairwise accumulators
+    and then the k mod 8 tail in order, and a many-row gather strictly in
+    order; either way padding within the width only adds zeros after the
+    node's own terms, so each node's sum keeps its bits.  Members keep
+    their given order within each owner.  A block holds at most
+    max(1, n_nodes // w) owners, so a gather over one block is no larger
+    than a gather over a whole score row.
     """
     n_nodes = len(level)
     count = np.bincount(owner, minlength=n_nodes)
-    order = np.lexsort((owner, count[owner], -level[owner]))
+    width = np.where(count < 128, count | 7, count)
+    order = np.lexsort((owner, width[owner], -level[owner]))
     owner, member = owner[order], member[order]
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    nodes = owner[first]
+    k, w = count[nodes], width[nodes]
+    slot_at = np.cumsum(w) - w
+    # each member's slot: its owner's first slot plus its rank in the owner
+    slots = np.arange(len(owner)) + np.repeat(slot_at - first, k)
+    padded = np.full(int(w.sum()), n_nodes, dtype=np.intp)
+    padded[slots] = member
     if weight is not None:
-        weight = weight[order]
-    key = level[owner] * n_nodes + count[owner]
+        weights = np.zeros(len(padded))
+        weights[slots] = weight[order]
+    key = level[nodes] * (n_nodes + 1) + w
     starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
     blocks = []
-    for s, e in zip(starts, starts[1:] + [len(owner)]):
-        k = int(count[owner[s]])
-        step = max(1, n_nodes // k) * k
+    for s, e in zip(starts, starts[1:] + [len(nodes)]):
+        wd = int(w[s])
+        step = max(1, n_nodes // wd)
         for a in range(s, e, step):
             b = min(a + step, e)
-            blocks.append((owner[a:b:k].copy(), member[a:b].reshape(-1, k),
+            sl = slice(slot_at[a], slot_at[a] + (b - a) * wd)
+            blocks.append((nodes[a:b], padded[sl].reshape(-1, wd),
                            None if weight is None
-                           else weight[a:b].reshape(-1, k)))
+                           else weights[sl].reshape(-1, wd)))
     return blocks
 
 

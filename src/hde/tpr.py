@@ -65,17 +65,20 @@ def _bottom_up_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
                       config: TprConfig) -> np.ndarray:
     """Phase B over a whole matrix; root row values are left untouched.
 
-    One gather per block of same-level nodes with equally many members
-    (children or descendants, per the level plan), so each node's sums run
-    over exactly its own members.
+    One gather per block of same-level nodes with the same summation width
+    (children or descendants, per the level plan).  Member rows are padded
+    with index n: column n of the working copy holds -inf, which no
+    comparison admits into a positive set, so a pad adds only zeros after
+    the node's own terms and each node's sums keep their bits.
     """
     cfg = config
     _check_thresholds(dag, cfg)
     plan = levels.plan
     up = plan.up if cfg.descendant_mode == "children" else plan.descendants
     linear = cfg.descendant_mode == "descendants-linear"
-    t = cfg.thresholds
-    out = flat.copy()
+    t = None if cfg.thresholds is None else np.append(cfg.thresholds, 0.0)
+    n = flat.shape[1]
+    out = np.hstack([flat, np.full((len(flat), 1), -np.inf)])
     for ni, midx, weights in up:
         vals = out[:, midx]  # rows x nodes x members
         if cfg.positive_selection == "threshold":
@@ -97,7 +100,7 @@ def _bottom_up_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
                 wsum > 0,
                 cfg.w * flat[:, ni] + (1.0 - cfg.w) * vsum / safe,
                 flat[:, ni])
-    return out
+    return out[:, :n]
 
 
 def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,

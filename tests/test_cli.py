@@ -249,6 +249,17 @@ class TestLevels:
         assert run("levels", "--dag", bad) == 2
         assert capsys.readouterr().err.startswith("E_IO:")
 
+    def test_unencodable_stdout_is_io_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        dag = tmp_path / "u.tsv"
+        dag.write_text("r\t\u00e9\n", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout",
+                            io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert run("levels", "--dag", dag) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("E_IO:") and "ascii" in lines[0]
+
 
 class TestValidate:
     def test_violations_reported(self, fx, capsys):

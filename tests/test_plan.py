@@ -1,10 +1,12 @@
 """The compiled level-plan kernels against the per-node reference loops.
 
-Every variant must give bit-identical output: the kernels group nodes by
-exact member count so that each per-node sum adds the same terms in the
-same order as the reference.  numpy sums a one-row gather of nine or more
-terms pairwise and a many-row gather sequentially, so both batch sizes
-are checked.
+Every variant must give bit-identical output.  The kernels group a level's
+nodes by summation width (k | 7 for k < 128 members, else k) and pad each
+member row up to it with a sentinel that adds only zeros.  numpy sums a one-row gather with 8
+pairwise accumulators and then the k mod 8 tail in order, and a many-row
+gather strictly in order, so in both cases the padding adds only zeros
+after a node's own terms and each per-node sum keeps the reference's
+bits.  Both batch sizes are checked, and so is that numpy rule itself.
 """
 
 import numpy as np
@@ -60,7 +62,33 @@ def _dags():
     return dags
 
 
-DAGS = _dags()
+def width(k):
+    """Summation width of a k-member sum: numpy's pairwise group."""
+    return k | 7 if k < 128 else k
+
+
+def _wide_dags():
+    """Seeded random DAGs with two extra hubs, whose non-root nodes have
+    child and descendant counts in the width groups 1-7, 8-15 and 16-23,
+    and some node >= 128 descendants (a row with no padding)."""
+    rng = np.random.default_rng(2025)
+    dags = []
+    for n in (150, 200):
+        edges = list(random_dag(rng, n, extra_edges=n).edges)
+        edges += [("n2", f"n{j}") for j in range(3, n, n // 18)]
+        edges += [("n3", f"n{j}") for j in range(4, n, n // 10)]
+        dag = build_dag(edges, dedup=True)
+        lv = compute_levels(dag)
+        inner = [m for m in dag.nodes if lv.dist[m] > 0]
+        for counts in ([len(dag.children(m)) for m in inner],
+                       [len(dag.descendants(m)) for m in inner]):
+            assert {7, 15, 23} <= {width(k) for k in counts if k}
+        assert max(len(dag.descendants(m)) for m in inner) >= 128
+        dags.append((dag, lv))
+    return dags
+
+
+DAGS = _dags() + _wide_dags()
 
 
 @pytest.mark.parametrize("rows", [1, 50])
@@ -72,7 +100,7 @@ def test_htd_matches_reference(case, rows):
                           ref.htd_matrix(dag, lv, y))
 
 
-@pytest.mark.parametrize("rows", [1, 50])
+@pytest.mark.parametrize("rows", [1, 2, 50, 200])
 @pytest.mark.parametrize("case", range(len(DAGS)))
 def test_tpr_variants_match_reference(case, rows):
     dag, lv = DAGS[case]
@@ -86,6 +114,64 @@ def test_tpr_variants_match_reference(case, rows):
                               ref.tpr_matrix(dag, lv, y, cfg)), kw
         assert np.array_equal(_bottom_up_matrix(dag, lv, y, cfg),
                               ref.bottom_up_matrix(dag, lv, y, cfg)), kw
+
+
+@pytest.mark.parametrize("case", range(len(DAGS)))
+def test_plan_blocks_are_padded_width_groups(case):
+    """Each block holds one level's owners of one width, deepest level
+    first; each row is the owner's members, then the sentinel index n with
+    weight 0 up to width(k).  A (level, width) group is split only into
+    blocks of max(1, n // width) owners, the last one possibly shorter."""
+    dag, lv = DAGS[case]
+    n = len(dag)
+    plan = lv.plan
+    ix = dag.index
+    for blocks, members in ((plan.up, dag.children),
+                            (plan.descendants, dag.descendants)):
+        sizes, owners, last = {}, [], np.inf
+        for ni, midx, weights in blocks:
+            w = midx.shape[1]
+            d = lv.dist[dag.nodes[ni[0]]]
+            assert d <= last
+            last = d
+            for r, i in enumerate(ni):
+                node = dag.nodes[i]
+                k = len(members(node))
+                assert lv.dist[node] == d and w == width(k)
+                assert list(midx[r, :k]) == [ix(m) for m in members(node)]
+                assert (midx[r, k:] == n).all()
+                if weights is not None:
+                    assert (weights[r, :k] > 0).all()
+                    assert (weights[r, k:] == 0).all()
+            sizes.setdefault((d, w), []).append(len(ni))
+            owners += list(ni)
+        assert sorted(owners) == sorted(
+            ix(m) for m in dag.nodes if lv.dist[m] > 0 and dag.children(m))
+        for (d, w), group in sizes.items():
+            step = max(1, n // w)
+            assert all(s == step for s in group[:-1]) and group[-1] <= step
+
+
+@pytest.mark.parametrize("rows", [1, 50])
+def test_numpy_sums_keep_bits_when_padded_to_width(rows):
+    """The numpy rule the level plan relies on: a gather summed over its
+    last axis gives the same bits with zeros appended up to k | 7."""
+    rng = np.random.default_rng(rows)
+    src = np.zeros((rows, 401))  # column 400 is the zero pad
+    src[:, :400] = (rng.uniform(size=(rows, 400))
+                    * 10.0 ** rng.integers(-8, 9, size=(rows, 400)))
+    for k in range(1, 128):
+        for nb in (1, 13):
+            idx = rng.integers(0, 400, size=(nb, k))
+            padded = np.hstack([idx, np.full((nb, width(k) - k), 400)])
+            assert np.array_equal(src[:, idx].sum(axis=2),
+                                  src[:, padded].sum(axis=2)), (
+                f"k={k}, {rows} row(s), {nb} owner(s): numpy no longer sums "
+                "a one-row gather with 8 pairwise accumulators and then the "
+                "k mod 8 tail in order, or a many-row gather strictly in "
+                "order, so zeros padded up to k | 7 change the sum and the "
+                "level plan's width groups (hde.dag._width_blocks) no "
+                "longer keep each node's bits")
 
 
 def test_plan_is_built_once_per_level_map():
