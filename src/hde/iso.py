@@ -8,6 +8,7 @@ input that obeys the true path rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,21 @@ from .htd import _check_aligned
 from .tpr import TprConfig, _bottom_up_matrix
 
 
+# The solve stops when no edge has y[child] - y[parent] above this.
+_TOL = 1e-12
+# Lawson-Hanson steps allowed per edge; scipy's nnls has the same default.
+_STEPS_PER_EDGE = 3
+
+
 @dataclass(frozen=True)
 class IsoSolution:
     """Result of one projection.
 
     `objective` is the squared distance to the projection input;
-    `residual` the worst edge violation before [0, 1] clamping;
-    `iterations` the number of solves (1, or 0 for an edgeless taxonomy).
+    `residual` the worst edge violation of the raw solve, before the repair
+    and [0, 1] clamping, which is at most 1e-12;
+    `iterations` the number of Lawson-Hanson steps (edges added to the
+    forest; 0 when the input is already consistent).
     """
 
     values: np.ndarray
@@ -36,45 +45,120 @@ class IsoSolution:
 def isotonic_project(dag: Dag, z) -> IsoSolution:
     """Euclidean projection of a score row onto the hierarchy-consistent set.
 
-    Exact active-set solve via the dual: with A holding one row
+    Exact active-set solve of the dual: with A holding one row
     e_child - e_parent per edge, the projection of z onto {y : Ay <= 0} is
-    y = z - A'lam where lam >= 0 minimizes ||A'lam - z||, a plain
-    non-negative least-squares problem.  NNLS running out of iterations
-    (scipy raises RuntimeError) is reported as ConvergenceError.  scipy is
-    imported here, not at module level, so that no other path of the
-    package pays its start-up cost.
+    y = z - A'lam where lam >= 0 minimizes ||A'lam - z||.  That
+    non-negative least-squares problem is solved by Lawson-Hanson, using
+    the structure of A: a set of its columns is linearly independent
+    exactly when its edges form a forest, so the passive set is a forest
+    and each least-squares solve is closed-form (y is the mean of z over
+    each tree, and lam_e the sum of z - y over the side of edge e that
+    holds its child).  Memory is O(nodes + edges).  More than 3 steps per
+    edge raise ConvergenceError.  A non-finite value raises ValueError.
 
-    The solve leaves rounding-sized violations on some edges; each violating
-    child is lowered to its parents' minimum until none is left (at most one
-    pass per level), so the values obey the true path rule exactly.
-    `objective` and `residual` describe the raw solve.
+    The solve stops with every edge's y[child] - y[parent] at most 1e-12;
+    on tied inputs two trees can end that close, so each violating child
+    is lowered to its parents' minimum until none is left (at most one
+    pass per level), and the values, clipped to [0, 1], obey the true path
+    rule exactly.  `objective` and `residual` describe the raw solve.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray_chkfinite(z, dtype=np.float64)
     if z.shape != (len(dag),):
         raise AlignmentError(
             f"row has {z.shape} values for a {len(dag)}-node taxonomy")
-    if not dag.edges:
-        return IsoSolution(z.copy(), 0.0, 0, 0.0)
-    from scipy.optimize import nnls
-
     pi, ci = edge_index_arrays(dag)
-    n, m = len(dag), len(dag.edges)
-    at = np.zeros((n, m))
-    at[ci, np.arange(m)] = 1.0
-    at[pi, np.arange(m)] -= 1.0
-    try:
-        lam, _ = nnls(at, z)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"isotonic projection: {exc}") from None
-    y = z - at @ lam
-    residual = float(max(0.0, (y[ci] - y[pi]).max()))
+    y, steps = _forest_lawson_hanson(z, pi, ci)
+    residual = float((y[ci] - y[pi]).max(initial=0.0))
     objective = float(((z - y) ** 2).sum())
     y = np.clip(y, 0.0, 1.0)
     bad = np.flatnonzero(y[ci] > y[pi])
     while bad.size:
         np.minimum.at(y, ci[bad], y[pi[bad]])
         bad = np.flatnonzero(y[ci] > y[pi])
-    return IsoSolution(y, objective, 1, residual)
+    return IsoSolution(y, objective, steps, residual)
+
+
+def _forest_lawson_hanson(z, pi, ci):
+    """(y, steps): Lawson-Hanson on the dual, the passive set an edge forest.
+
+    Each step adds the edge t with the largest y[child] - y[parent], which
+    merges two trees.  If the merged tree's flows are not all positive, the
+    usual step back to the feasible boundary drops the edges whose lam
+    reaches zero, and only the trees that split are solved again.
+    """
+    n, m = z.size, pi.size
+    zl, pl, cl = z.tolist(), pi.tolist(), ci.tolist()
+    adj = [[] for _ in range(n)]  # forest edges at each node
+    lam = {}  # forest edge -> its dual value, > 0 between steps
+    acc = [0.0] * n  # scratch: sum of z - mean below a node
+    size = np.ones(n, dtype=np.intp)  # node count of each node's tree
+    y = z.copy()
+
+    def solve(start, flow):
+        """(nodes, mean) of start's tree; its edges' lam go into `flow`."""
+        order, via = [start], [-1]  # breadth first; grows while walked
+        for v, e_in in zip(order, via):
+            for e in adj[v]:
+                if e != e_in:
+                    order.append(cl[e] if pl[e] == v else pl[e])
+                    via.append(e)
+        mean = math.fsum([zl[v] for v in order]) / len(order)
+        for k in range(len(order) - 1, 0, -1):
+            v, e = order[k], via[k]
+            s = zl[v] - mean + acc[v]
+            acc[v] = 0.0
+            if cl[e] == v:
+                flow[e] = s
+                acc[pl[e]] += s
+            else:
+                flow[e] = -s
+                acc[cl[e]] += s
+        acc[start] = 0.0
+        return order, mean
+
+    steps = 0
+    while m:
+        w = y[ci] - y[pi]
+        t = int(w.argmax())
+        if w[t] <= _TOL:
+            break
+        steps += 1
+        if steps > _STEPS_PER_EDGE * m:
+            raise ConvergenceError(
+                f"isotonic projection: no solution within {steps - 1} steps")
+        p, c = pl[t], cl[t]
+        adj[p].append(t)
+        adj[c].append(t)
+        lam[t] = 0.0
+        flow = {}
+        # started in the larger tree, the sum giving lam_t runs over the
+        # smaller one, so its rounding stays far below lam_t itself
+        trees = [solve(p if size[p] >= size[c] else c, flow)]
+        while True:
+            neg = [e for e, f in flow.items() if f <= 0.0]
+            if not neg:
+                break
+            first = min(neg, key=lambda e: lam[e] / (lam[e] - flow[e]))
+            alpha = lam[first] / (lam[first] - flow[first])
+            for e, f in flow.items():
+                lam[e] += alpha * (f - lam[e])
+            lam[first] = 0.0
+            gone = [e for e in flow if lam[e] <= 0.0]
+            for e in gone:
+                del lam[e], flow[e]
+                adj[pl[e]].remove(e)
+                adj[cl[e]].remove(e)
+            seen = set()
+            for e in gone:
+                for v in (pl[e], cl[e]):
+                    if v not in seen:
+                        trees.append(solve(v, flow))
+                        seen.update(trees[-1][0])
+        lam.update(flow)
+        for nodes, mean in trees:
+            y[nodes] = mean
+            size[nodes] = len(nodes)
+    return y, steps
 
 
 def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,

@@ -5,10 +5,12 @@ passes.  They visit one node per step and gather its parents, children or
 descendants by name, so they are slow but plainly follow the algorithm;
 `test_plan.py` requires the compiled kernels to match them bit for bit.
 `positive_children` restates the bottom-up positive-set selection for one
-node; `test_tpr.py` checks its membership rules.
+node; `test_tpr.py` checks its membership rules.  `kkt_residual` certifies
+an isotonic projection without the production solver.
 """
 
 import numpy as np
+from scipy.optimize import nnls
 
 
 def htd_matrix(dag, levels, flat):
@@ -112,3 +114,24 @@ def topdown_matrix(dag, levels, base, flat, literal):
 def tpr_matrix(dag, levels, flat, cfg):
     b = bottom_up_matrix(dag, levels, flat, cfg)
     return topdown_matrix(dag, levels, b, flat, literal=False)
+
+
+def kkt_residual(dag, z, y, tight_tol=1e-9):
+    """KKT residual of `y` as the projection of `z` onto {y : Ay <= 0}.
+
+    A holds the row e_child - e_parent of each edge.  A feasible y is the
+    projection exactly when z - y = A'lam for some lam >= 0 that is zero on
+    every edge not tight at y; the residual of that NNLS fit over the tight
+    edges is zero for the projection and positive for any other point.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    tight = [(dag.index(p), dag.index(c)) for p, c in dag.edges
+             if abs(y[dag.index(c)] - y[dag.index(p)]) <= tight_tol]
+    if not tight:
+        return float(np.linalg.norm(z - y))
+    at = np.zeros((len(y), len(tight)))
+    for j, (p, c) in enumerate(tight):
+        at[c, j] = 1.0
+        at[p, j] = -1.0
+    return float(nnls(at, z - y)[1])

@@ -169,9 +169,8 @@ class TestCorrect:
 
     def test_nnls_iteration_limit_is_convergence_error(self, fx, capsys,
                                                        monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise RuntimeError("Maximum number of iterations reached.")
-        monkeypatch.setattr("scipy.optimize.nnls", exhausted)
+        # no step allowed: the first violated edge exhausts the solver
+        monkeypatch.setattr("hde.iso._STEPS_PER_EDGE", 0)
         code = run("correct", "--dag", fx / "dag.tsv", "--scores",
                    fx / "scores.tsv", "--method", "iso-tpr", "--iso-on-flat")
         assert code == 4
@@ -500,7 +499,7 @@ class TestInputBoundary:
 
 
 class TestScipyStaysUnloaded:
-    """Only ISO-TPR needs scipy; no other path may import it.
+    """No path of hde imports scipy; only tests and the benchmark use it.
 
     Each case runs in a fresh interpreter, because other tests in the same
     session import scipy.
@@ -531,13 +530,10 @@ class TestScipyStaysUnloaded:
         (["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
           "--method", "htd"], 0),
         (["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
-          "--method", "tpr", "--thresholds-file", "thr.tsv"], 0)],
+          "--method", "tpr", "--thresholds-file", "thr.tsv"], 0),
+        (["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
+          "--method", "iso-tpr", "--threshold", "0.5"], 0)],
         ids=["import", "levels", "validate", "eval", "fit-fscore",
-             "correct-htd", "correct-tpr"])
+             "correct-htd", "correct-tpr", "correct-iso-tpr"])
     def test_scipy_not_imported(self, fx, argv, code):
         assert self.fresh_run(fx, argv) == [code, False]
-
-    def test_iso_tpr_imports_scipy(self, fx):
-        argv = ["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
-                "--method", "iso-tpr", "--threshold", "0.5"]
-        assert self.fresh_run(fx, argv) == [0, True]

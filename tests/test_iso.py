@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,11 @@ from hde import (
 )
 from hde.oracles import iso_oracle
 
+from hde.dag import Dag
+from hde.tpr import _bottom_up_matrix
+
 from conftest import random_dag, random_scores, threshold_config
+from per_node_reference import kkt_residual
 
 EPS = 1e-9
 
@@ -51,6 +57,40 @@ class TestIsotonicProject:
         sol = isotonic_project(dag, [0.3])
         assert np.array_equal(sol.values, [0.3])
         assert sol.objective == 0.0
+
+    def test_edgeless_row_is_clipped_like_any_other(self):
+        sol = isotonic_project(Dag(["only"], [], "only", False), [1.5])
+        assert np.array_equal(sol.values, [1.0])
+        assert sol.objective == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_value_error(self, chain, bad):
+        dag, _ = chain
+        with pytest.raises(ValueError):
+            isotonic_project(dag, [0.5, bad, 0.2])
+
+    def test_tied_scores_hand_fixture(self):
+        # two paths n1 -> n4 and n1 -> n2 -> n4 with z tied at 1 on n3, n4
+        dag = build_dag([("n0", "n1"), ("n1", "n2"), ("n0", "n3"),
+                         ("n2", "n4"), ("n1", "n4"), ("n3", "n4")])
+        sol = isotonic_project(dag, [0.5, 0.0, 0.5, 1.0, 1.0])
+        assert sol.values == pytest.approx([0.75, 0.5, 0.5, 0.75, 0.5],
+                                           abs=1e-12)
+        assert sol.objective == pytest.approx(0.625, abs=1e-12)
+
+    def test_tied_and_rounded_scores_are_certified(self):
+        rng = np.random.default_rng(59)
+        for k in range(600):
+            dag = random_dag(rng, int(rng.integers(2, 61)))
+            if k % 2:
+                z = rng.choice([0.0, 0.5, 1.0], size=len(dag))
+            else:
+                z = rng.uniform(size=len(dag)).round(1)
+            y = isotonic_project(dag, z).values
+            assert not check_valid_continuous(dag, y, eps=0.0)
+            assert kkt_residual(dag, z, y) <= 1e-9
+            if len(dag) <= 15:
+                assert np.abs(y - iso_oracle(dag, z)).max() <= 1e-6
 
     def test_feasibility(self):
         rng = np.random.default_rng(52)
@@ -129,6 +169,22 @@ class TestIsoTprCorrect:
             y = random_scores(rng, dag)[0]
             out = iso_tpr_correct(dag, lv, y, threshold_config(dag, 0.5))
             assert not check_valid_continuous(dag, out, eps=EPS)
+
+    def test_adaptive_row_at_5000_nodes(self):
+        rng = np.random.default_rng(63)
+        dag = random_dag(rng, 5000)
+        lv = compute_levels(dag)
+        cfg = TprConfig(positive_selection="adaptive")
+        flat = random_scores(rng, dag)
+        t0 = time.perf_counter()
+        out = iso_tpr_correct(dag, lv, flat[0], cfg)
+        assert time.perf_counter() - t0 < 10.0
+        assert not check_valid_continuous(dag, out, eps=0.0)
+        z = _bottom_up_matrix(dag, lv, flat, cfg)[0]
+        sol = isotonic_project(dag, z)
+        assert np.array_equal(sol.values, out)
+        htd_obj = ((z - htd_correct(dag, lv, z)) ** 2).sum()
+        assert sol.objective <= htd_obj + 1e-12
 
     def test_on_flat_projects_flat_scores(self, diamond):
         dag, lv = diamond
