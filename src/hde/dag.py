@@ -408,9 +408,10 @@ def compute_levels(dag: Dag) -> LevelMap:
 
 
 def _records(path, comments=None):
-    """Yield (lineno, tab-split fields) of each line of a UTF-8 file that is
-    neither blank nor a `#` comment, adding comment texts to `comments` if
-    given.  Not UTF-8: ParseError, no line (text mode decodes in chunks)."""
+    """Yield (lineno, line without its newline) of each line of a UTF-8 file
+    that is neither blank nor a `#` comment, adding comment texts to
+    `comments` if given.  Not UTF-8: ParseError, no line (text mode decodes
+    in chunks)."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -420,7 +421,7 @@ def _records(path, comments=None):
                     if comments is not None:
                         comments.append(line.lstrip("# ").rstrip())
                     continue
-                yield lineno, line.rstrip("\n").split("\t")
+                yield lineno, line.rstrip("\n")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
 
@@ -432,7 +433,8 @@ def read_edge_list(path) -> list:
     lines are ignored.
     """
     pairs = []
-    for lineno, parts in _records(path):
+    for lineno, line in _records(path):
+        parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError("expected 'parent<TAB>child'", line=lineno)
         pairs.append((parts[0], parts[1]))

@@ -126,54 +126,80 @@ def _violations(dag: Dag, values: np.ndarray, eps: float = 0.0):
             yield (i, *dag.edges[k], ps, cs)
 
 
-def _check_rows_in_range(rows, linenos) -> np.ndarray:
-    """Assemble parsed rows into an array; RangeError names the first bad cell.
+def _check_rows_in_range(values: np.ndarray, linenos) -> None:
+    """RangeError naming the first bad cell of a 2-D array, if it has one.
 
     The cell is the first out-of-[0, 1] (or NaN) value in file order, given
-    with its line number and the repr of the parsed Python float.
+    with the line number of its row and the repr of the value as a float.
     """
-    values = np.array(rows, dtype=np.float64)
     bad = ~((values >= 0.0) & (values <= 1.0))
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise RangeError(
-            f"line {linenos[r]}: value {rows[r][c]!r} outside [0, 1]")
-    return values
+            f"line {linenos[r]}: value {float(values[r, c])!r} outside [0, 1]")
+
+
+# Unicode whitespace that np.loadtxt strips around a number and float()
+# refuses; every other cell text parses the same way in both, or fails
+# in loadtxt and so reaches the float() loop.
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_cells(lines, linenos, width) -> np.ndarray:
+    """The cells after the first column of each line, as float() reads them:
+    (len(lines), width).  ParseError names the first line with the wrong
+    column count or a cell that is not a float literal; an out-of-range
+    value on an earlier line is a RangeError first."""
+    if lines and all(line.count("\t") == width
+                     and not any(c in line for c in _LOADTXT_ONLY_SPACE)
+                     for line in lines):
+        try:
+            return np.loadtxt(lines, delimiter="\t",
+                              usecols=range(1, width + 1), comments=None,
+                              dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass  # the loop below names the line, as float() words it
+    rows = []
+    for lineno, line in zip(linenos, lines):
+        parts = line.split("\t")
+        try:
+            if len(parts) != width + 1:
+                raise ValueError(
+                    f"expected {width + 1} columns, got {len(parts)}")
+            rows.append(list(map(float, parts[1:])))
+        except ValueError as exc:
+            _check_rows_in_range(
+                np.array(rows, dtype=np.float64).reshape(-1, width), linenos)
+            raise ParseError(str(exc), line=lineno) from None
+    return np.array(rows, dtype=np.float64).reshape(len(lines), width)
 
 
 def read_scores(path) -> ScoreMatrix:
     """Read a scores TSV: header `example<TAB>class...`, one row per example.
 
-    The texts of `#` comment lines are kept on the returned matrix.
-    An out-of-range value is reported ahead of a parse error on a later line.
+    Each score cell is a Python float() literal.  The texts of `#` comment
+    lines are kept on the returned matrix.  An out-of-range value is
+    reported ahead of a parse error on a later line.
     """
     comments = []
     records = _records(path, comments)
-    lineno, parts = next(records, (None, None))
-    if parts is None:
+    lineno, line = next(records, (None, None))
+    if line is None:
         raise ParseError(f"no header found in {path}")
+    parts = line.split("\t")
     if parts[0] != "example" or len(parts) < 2:
         raise ParseError(
             "header must start with 'example' followed by class ids",
             line=lineno)
     header = parts[1:]
-    example_ids = []
-    rows = []
-    linenos = []
-    for lineno, parts in records:
-        try:
-            if len(parts) != len(header) + 1:
-                raise ValueError(
-                    f"expected {len(header) + 1} columns, got {len(parts)}")
-            rows.append(list(map(float, parts[1:])))
-        except ValueError as exc:
-            _check_rows_in_range(rows, linenos)
-            raise ParseError(str(exc), line=lineno) from None
-        example_ids.append(parts[0])
+    linenos, lines = [], []
+    for lineno, line in records:
         linenos.append(lineno)
-    values = _check_rows_in_range(rows, linenos).reshape(
-        len(example_ids), len(header))
-    return ScoreMatrix(example_ids, list(header), values, comments=comments)
+        lines.append(line)
+    values = _parse_cells(lines, linenos, len(header))
+    _check_rows_in_range(values, linenos)
+    example_ids = [line.split("\t", 1)[0] for line in lines]
+    return ScoreMatrix(example_ids, header, values, comments=comments)
 
 
 def write_scores_stream(matrix: ScoreMatrix, fh, digits: int | None = None) -> None:

@@ -22,9 +22,15 @@ from .errors import (
     RangeError,
     check_unit_interval,
 )
-from .scores import ScoreMatrix, _node_columns, _violation_mask
+from .scores import (
+    ScoreMatrix,
+    _check_rows_in_range,
+    _node_columns,
+    _violation_mask,
+)
 
 DEFAULT_GRID = np.round(np.arange(0.01, 1.00, 0.01), 2)
+_FIT_BLOCK_CELLS = 1 << 16  # score cells per block in fit_fscore
 
 
 @dataclass
@@ -58,10 +64,8 @@ class ClassMetrics:
     f_score: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.precision = _safe_div(self.tp, self.tp + self.fp)
-        self.recall = _safe_div(self.tp, self.tp + self.fn)
-        self.f_score = _safe_div(2 * self.precision * self.recall,
-                                 self.precision + self.recall)
+        self.precision, self.recall, self.f_score = _prf(self.tp, self.fp,
+                                                         self.fn)
 
 
 @dataclass
@@ -77,6 +81,14 @@ def _class_metrics(class_ids, pred, pos) -> ClassMetrics:
     return ClassMetrics(class_ids, (pred & pos).sum(axis=0),
                         (pred & ~pos).sum(axis=0), (~pred & ~pos).sum(axis=0),
                         (~pred & pos).sum(axis=0))
+
+
+def _prf(tp, fp, fn):
+    """Precision, recall and F from confusion counts, elementwise."""
+    precision = _safe_div(tp, tp + fp)
+    recall = _safe_div(tp, tp + fn)
+    return precision, recall, _safe_div(2 * precision * recall,
+                                        precision + recall)
 
 
 def _safe_div(num, den):
@@ -95,6 +107,33 @@ def fit_global(t_bar: float, class_ids) -> ThresholdVector:
     return ThresholdVector(class_ids, np.full(len(class_ids), t_bar), "global")
 
 
+def _first_best(grid, s, pos):
+    """Per column of `s`, the smallest value of the sorted `grid` with the
+    highest F of "predict iff score > t" against the labels `pos`."""
+    rows, cols = s.shape
+    # A cell is predicted at grid[g] iff g < k, so a class's F only changes
+    # where g passes one of its distinct k.  Sorting 2k + label per column
+    # puts each class's cells in k order; at the last cell of a tie group
+    # with value k, the cells after it are the ones predicted at grid[k].
+    # A zero row in front stands for g = 0 with every cell predicted.  The
+    # last row predicts nothing, so its F of 0 never beats an earlier row,
+    # even where its k is len(grid).
+    q = np.zeros((rows + 1, cols), dtype=np.intp)
+    q[1:] = np.searchsorted(grid, s, side="left")
+    q[1:] *= 2
+    q[1:] += pos
+    q[1:].sort(axis=0)
+    ks = q >> 1
+    npos = np.cumsum(q & 1, axis=0)
+    tp = npos[-1] - npos
+    fp = np.arange(rows, -1, -1)[:, None] - tp
+    f = _prf(tp, fp, npos)[2]
+    f[:-1][ks[1:] == ks[:-1]] = -1.0  # not the last cell of its tie group
+    # argmax keeps the first maximum: the smallest grid value, as a scan
+    # over the grid with a strict "better" test would
+    return grid[ks[f.argmax(axis=0), np.arange(cols)]]
+
+
 def fit_fscore(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
                grid=None) -> ThresholdVector:
     """Per class, the smallest grid value maximizing training F-score.
@@ -110,18 +149,16 @@ def fit_fscore(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
     _check_pair(train_scores, train_labels)
     grid = np.sort(grid)
 
-    ids = list(train_scores.class_ids)
     s = train_scores.values
     pos = train_labels.values > 0.5
-    best_f = np.full(s.shape[1], -1.0)
+    # a block of columns at a time bounds the per-cell temporaries
+    step = max(1, _FIT_BLOCK_CELLS // (s.shape[0] + 1))
     out = np.empty(s.shape[1])
-    for t in grid:
-        f = _class_metrics(ids, s > t, pos).f_score
-        better = f > best_f  # ties keep the smallest (earliest) grid value
-        best_f[better] = f[better]
-        out[better] = t
+    for j in range(0, s.shape[1], step):
+        out[j:j + step] = _first_best(grid, s[:, j:j + step],
+                                      pos[:, j:j + step])
     out[~pos.any(axis=0)] = grid[-1]
-    return ThresholdVector(ids, out, "fscore")
+    return ThresholdVector(list(train_scores.class_ids), out, "fscore")
 
 
 def fit_percentile(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
@@ -185,18 +222,22 @@ def _check_pair(scores: ScoreMatrix, labels: ScoreMatrix):
 
 def read_thresholds(path) -> ThresholdVector:
     """Read a `class<TAB>threshold` TSV."""
-    ids, vals = [], []
-    for lineno, parts in _records(path):
+    ids, vals, linenos = [], [], []
+    for lineno, line in _records(path):
+        parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError("expected 'class<TAB>threshold'", line=lineno)
         ids.append(parts[0])
+        linenos.append(lineno)
         try:
             vals.append(float(parts[1]))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
     if not ids:
         raise ParseError(f"no thresholds found in {path}")
-    return ThresholdVector(ids, np.array(vals), "file")
+    values = np.array(vals)
+    _check_rows_in_range(values[:, None], linenos)
+    return ThresholdVector(ids, values, "file")
 
 
 def write_thresholds_stream(tv: ThresholdVector, fh) -> None:

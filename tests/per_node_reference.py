@@ -7,10 +7,19 @@ descendants by name, so they are slow but plainly follow the algorithm;
 `positive_children` restates the bottom-up positive-set selection for one
 node; `test_tpr.py` checks its membership rules.  `kkt_residual` certifies
 an isotonic projection without the production solver.
+
+`read_scores_rows` and `fit_fscore_grid` are the per-cell scores reader and
+the per-grid-value F-score fit: `test_scores.py` and `test_thresholds.py`
+require `read_scores` and `fit_fscore` to match them bit for bit.
 """
 
 import numpy as np
 from scipy.optimize import nnls
+
+from hde import ScoreMatrix
+from hde.dag import _records
+from hde.errors import ParseError, RangeError
+from hde.thresholds import ThresholdVector, _class_metrics
 
 
 def htd_matrix(dag, levels, flat):
@@ -135,3 +144,60 @@ def kkt_residual(dag, z, y, tight_tol=1e-9):
         at[c, j] = 1.0
         at[p, j] = -1.0
     return float(nnls(at, z - y)[1])
+
+
+def _rows_in_range(rows, linenos):
+    values = np.array(rows, dtype=np.float64)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise RangeError(
+            f"line {linenos[r]}: value {rows[r][c]!r} outside [0, 1]")
+    return values
+
+
+def read_scores_rows(path):
+    """A scores TSV read one row at a time, float() on every cell."""
+    comments = []
+    records = ((n, line.split("\t")) for n, line in _records(path, comments))
+    lineno, parts = next(records, (None, None))
+    if parts is None:
+        raise ParseError(f"no header found in {path}")
+    if parts[0] != "example" or len(parts) < 2:
+        raise ParseError(
+            "header must start with 'example' followed by class ids",
+            line=lineno)
+    header = parts[1:]
+    example_ids, rows, linenos = [], [], []
+    for lineno, parts in records:
+        try:
+            if len(parts) != len(header) + 1:
+                raise ValueError(
+                    f"expected {len(header) + 1} columns, got {len(parts)}")
+            rows.append(list(map(float, parts[1:])))
+        except ValueError as exc:
+            _rows_in_range(rows, linenos)
+            raise ParseError(str(exc), line=lineno) from None
+        example_ids.append(parts[0])
+        linenos.append(lineno)
+    values = _rows_in_range(rows, linenos).reshape(
+        len(example_ids), len(header))
+    return ScoreMatrix(example_ids, list(header), values, comments=comments)
+
+
+def fit_fscore_grid(train_scores, train_labels, grid):
+    """Per class, the first grid value (ascending) with the highest F of
+    "predict iff score > t", one full-matrix pass per grid value."""
+    grid = np.sort(np.asarray(grid, dtype=np.float64))
+    ids = list(train_scores.class_ids)
+    s = train_scores.values
+    pos = train_labels.values > 0.5
+    best_f = np.full(s.shape[1], -1.0)
+    out = np.empty(s.shape[1])
+    for t in grid:
+        f = _class_metrics(ids, s > t, pos).f_score
+        better = f > best_f
+        best_f[better] = f[better]
+        out[better] = t
+    out[~pos.any(axis=0)] = grid[-1]
+    return ThresholdVector(ids, out, "fscore")

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hde import (
 )
 from hde.oracles import validity_oracle
 
+import per_node_reference as ref
 from conftest import random_dag
 
 
@@ -205,6 +207,83 @@ class TestScoresRoundTrip:
             assert back.values.shape == values.shape
             # bit for bit: -0.0 must stay -0.0
             assert back.values.tobytes() == values.tobytes()
+
+
+HARD_LITERALS = [
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "0.50000000000000011102230246251565404236316680908203125",
+    "4.9406564584124654e-324", "2.2250738585072011e-308", "1E-5", "5e-1",
+    ".5", "1.", "+0.5", "-0.0", "0.9999999999999999444888487687421729788184",
+]
+CELLS = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(HARD_LITERALS + [
+        "1.5", "-1e-9", "1e400", "nan", "-inf", "0_5", "١", " 0.5\xa0",
+        "\x1c0.5", "0.25\x1f", ""]),
+    st.lists(st.sampled_from(list("0123456789+-.e_ ") + [
+        "١", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "nan", "inf"]),
+        max_size=5).map("".join))
+
+
+@st.composite
+def score_files(draw):
+    width = draw(st.integers(1, 3))
+    lines = ["example\t" + "\t".join(f"c{j}" for j in range(width))]
+    for i in range(draw(st.integers(0, 4))):
+        cells = draw(st.lists(CELLS, min_size=width, max_size=width))
+        if draw(st.integers(0, 9)) == 0:  # wrong column count
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0.5"]
+        lines.append(f"e{i}" + "".join("\t" + c for c in cells))
+    return "".join(line + "\n" for line in lines)
+
+
+def read_outcome(read, path):
+    """The matrix's ids, comments and value bits, or the error's type and
+    text."""
+    try:
+        m = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (m.example_ids, m.class_ids, m.comments, m.values.shape,
+            m.values.tobytes())
+
+
+class TestReadScoresMatchesRowReader:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(text=score_files())
+    def test_same_bits_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("rd") / "s.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_scores, path) == \
+            read_outcome(ref.read_scores_rows, path)
+
+    @pytest.mark.parametrize("cell", ["\x1c0.5", "0.5\x1f", "0_5", "١",
+                                      "\xa00.5", "x"])
+    def test_cells_loadtxt_reads_otherwise(self, tmp_path, cell):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"example\ta\tb\ne1\t0.5\t0.25\ne2\t0.5\t{cell}\n",
+                        encoding="utf-8")
+        assert read_outcome(read_scores, path) == \
+            read_outcome(ref.read_scores_rows, path)
+
+    def test_hard_literals_same_bits(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("example\t" + "\t".join(map(str, range(len(
+            HARD_LITERALS)))) + "\ne1\t" + "\t".join(HARD_LITERALS) + "\n",
+                        encoding="utf-8")
+        m = read_scores(path)
+        assert m.values.tobytes() == np.array(
+            [[float(x) for x in HARD_LITERALS]]).tobytes()
+
+    def test_header_only_is_empty_matrix_without_warning(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("# note\nexample\tr\ta\n\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = read_scores(path)
+        assert m.values.shape == (0, 2)
+        assert m.example_ids == [] and m.class_ids == ["r", "a"]
 
 
 class TestAlignToDag:

@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,8 @@ from hde import (
     write_thresholds,
 )
 from hde.thresholds import align_thresholds
+
+import per_node_reference as ref
 
 
 def matrix_pair(scores, labels, class_ids=None):
@@ -117,6 +122,43 @@ class TestFitFscore:
         tv = fit_fscore(scores, labels, np.array([0.5]))
         pred = scores.values[:, 0] > tv.values[0]
         assert (pred == labels.values[:, 0].astype(bool)).all()
+
+    def test_matches_per_grid_reference(self):
+        rng = np.random.default_rng(73)
+        # the last two shapes span several column blocks
+        shapes = [(int(rng.integers(0, 30)), int(rng.integers(1, 12)))
+                  for _ in range(300)] + [(300, 700), (70_000, 3)]
+        for i, (m, k) in enumerate(shapes):
+            s = rng.uniform(size=(m, k))
+            if i % 3 == 1:  # tied scores, some on the grid
+                s = np.round(s, 1)
+            elif i % 3 == 2:
+                s = np.round(s, int(rng.integers(0, 3)))
+            l = (rng.uniform(size=(m, k)) > rng.uniform()).astype(float)
+            l[:, rng.uniform(size=k) < 0.2] = 0.0  # all-negative columns
+            if i % 4 == 0:  # duplicates, values on and off the data
+                grid = np.concatenate([rng.choice(s.ravel(), 3), [0.0, 1.0],
+                                       np.round(rng.uniform(size=5), 1)]) \
+                    if m else np.array([0.5, 0.5])
+            elif i % 4 == 1:
+                grid = rng.uniform(size=int(rng.integers(1, 60)))
+            elif i % 4 == 2:
+                grid = rng.uniform(0.9, 1.0, size=3)  # above most scores
+            else:
+                grid = TestFitFscore.GRID
+            scores, labels = matrix_pair(s, l)
+            got = fit_fscore(scores, labels, grid)
+            want = ref.fit_fscore_grid(scores, labels, grid)
+            assert got.values.tobytes() == want.values.tobytes(), i
+
+    def test_long_grid_time_does_not_grow_with_its_length(self):
+        rng = np.random.default_rng(74)
+        s = rng.uniform(size=(200, 300))
+        scores, labels = matrix_pair(s, (s > rng.uniform(size=300)) * 1.0)
+        t0 = time.perf_counter()
+        tv = fit_fscore(scores, labels, np.linspace(0.0, 1.0, 100_001))
+        assert time.perf_counter() - t0 < 5.0
+        assert tv.values.shape == (300,)
 
     def test_empty_grid(self):
         scores, labels = matrix_pair([[0.5]], [[1]])
@@ -224,6 +266,15 @@ class TestThresholdIO:
         back = read_thresholds(path)
         assert back.class_ids == tv.class_ids
         assert np.array_equal(back.values, tv.values)
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-0.25"])
+    def test_out_of_range_value_names_its_line(self, tmp_path, value):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"# strategy: file\nr\t1.0\n\na\t{value}\n",
+                        encoding="utf-8")
+        with pytest.raises(RangeError, match="^" + re.escape(
+                f"line 4: value {float(value)!r} outside [0, 1]") + "$"):
+            read_thresholds(path)
 
     def test_align_to_dag_order(self):
         dag = build_dag([("r", "a"), ("r", "b")])
