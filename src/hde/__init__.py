@@ -33,7 +33,6 @@ from .errors import (
     ParseError,
     RangeError,
     SelfLoopError,
-    SizeError,
     UnknownNodeError,
     WeightRangeError,
 )

@@ -43,6 +43,8 @@ from .tpr import TprConfig, tpr_correct_matrix
 
 METHODS = ("htd", "tpr", "tpr-w", "tpr-desc-const", "tpr-desc-lin", "iso-tpr")
 MAX_GRID_STEPS = 10 ** 6
+# fractional digits of 2**-1074: every float64 in [0, 1] prints exactly
+MAX_DIGITS = 1074
 
 
 class _ParamError(HdeError):
@@ -101,8 +103,8 @@ def _build_config(args, dag):
 
 
 def cmd_correct(args) -> int:
-    if args.digits is not None and args.digits < 0:
-        raise _ParamError("--digits must be >= 0")
+    if args.digits is not None:
+        _check_range("--digits", args.digits, 0, MAX_DIGITS)
     if (args.w is not None) != (args.method == "tpr-w"):
         raise _ParamError("--w is required by, and only used by, "
                           "--method tpr-w")
@@ -158,36 +160,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit_thresholds(args) -> int:
-    for option, strategies in (("grid", ["fscore"]), ("t", ["global"]),
-                               ("k", ["percentile"]),
-                               ("scores", ["fscore", "percentile"]),
-                               ("labels", ["fscore", "percentile"])):
-        if (getattr(args, option) is not None
-                and args.strategy not in strategies):
-            raise _ParamError(f"--{option} is only used by --strategy "
-                              + " or ".join(strategies))
-    if args.strategy == "global":
-        if args.t is None:
-            raise _ParamError("--strategy global requires --t")
-        _check_range("--t", args.t, 0, 1)
-    elif args.scores is None or args.labels is None:
-        raise _ParamError(f"--strategy {args.strategy} requires "
-                          "--scores and --labels")
-    elif args.strategy == "percentile":
+    for option, strategy in (("grid", "fscore"), ("k", "percentile")):
+        if getattr(args, option) is not None and args.strategy != strategy:
+            raise _ParamError(f"--{option} is only used by --strategy {strategy}")
+    if args.strategy == "percentile":
         if args.k is None:
             raise _ParamError("--strategy percentile requires --k")
         _check_range("--k", args.k, 0, 100)
     grid = _parse_grid(args.grid) if args.grid else None
     dag = _load_dag(args)
-    if args.strategy == "global":
-        tv = fit_global(args.t, dag.nodes)
+    scores = align_to_dag(read_scores(args.scores), dag)
+    labels = align_to_dag(read_scores(args.labels), dag)
+    if args.strategy == "fscore":
+        tv = fit_fscore(scores, labels, grid)
     else:
-        scores = align_to_dag(read_scores(args.scores), dag)
-        labels = align_to_dag(read_scores(args.labels), dag)
-        if args.strategy == "fscore":
-            tv = fit_fscore(scores, labels, grid)
-        else:
-            tv = fit_percentile(scores, labels, args.k)
+        tv = fit_percentile(scores, labels, args.k)
     _emit(args.output, lambda fh: write_thresholds_stream(tv, fh))
     return 0
 
@@ -284,11 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fit-thresholds", help="fit per-class thresholds")
     sp.add_argument("--dag", required=True)
     sp.add_argument("--dedup", action="store_true")
-    sp.add_argument("--scores", default=None, help="training scores TSV")
-    sp.add_argument("--labels", default=None, help="training 0/1 labels TSV")
+    sp.add_argument("--scores", required=True, help="training scores TSV")
+    sp.add_argument("--labels", required=True, help="training 0/1 labels TSV")
     sp.add_argument("--strategy", required=True,
-                    choices=("global", "fscore", "percentile"))
-    sp.add_argument("--t", type=float, default=None, help="global threshold value")
+                    choices=("fscore", "percentile"))
     sp.add_argument("--k", type=float, default=None, help="percentile in [0, 100]")
     sp.add_argument("--grid", default=None,
                     help="candidate grid 'start:stop:step' for --strategy fscore")

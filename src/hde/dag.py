@@ -99,26 +99,6 @@ class Dag:
         self.index(node)
         return self._parents[node]
 
-    def ancestors(self, node):
-        """All nodes reachable from `node` against edge direction, excluding itself."""
-        return self._reach(node, self._parents)
-
-    def descendants(self, node):
-        """All nodes reachable from `node` along edge direction, excluding itself."""
-        return self._reach(node, self._children)
-
-    def _reach(self, node, adjacency):
-        self.index(node)
-        seen = set()
-        stack = list(adjacency[node])
-        while stack:
-            n = stack.pop()
-            if n not in seen:
-                seen.add(n)
-                stack.extend(adjacency[n])
-        # deterministic: global node order
-        return tuple(sorted(seen, key=self._index.__getitem__))
-
     def topological_order(self):
         """Nodes in a topological order (parents before children).
 

@@ -79,9 +79,5 @@ class ConvergenceError(HdeError):
     pass
 
 
-class SizeError(HdeError):
-    """Brute-force oracle invoked above its hard size cap."""
-
-
 class NoPositivesWarning(UserWarning):
     """A class has no positive training examples; a fallback threshold is used."""

@@ -168,7 +168,7 @@ def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
 
     With `on_flat` the projection input is the flat row itself instead of
     the bottom-up output (the two readings of the algorithm's final step);
-    `config` is then unused.
+    `config` is then unused and may be None; otherwise it is required.
     """
     flat = np.asarray(flat, dtype=np.float64)
     if flat.ndim != 1:
@@ -180,6 +180,8 @@ def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
 def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
                            config: TprConfig | None,
                            on_flat: bool = False) -> np.ndarray:
+    if config is None and not on_flat:
+        raise ValueError("config is required unless on_flat")
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
     base = flat if on_flat else _bottom_up_matrix(dag, levels, flat, config)

@@ -3,15 +3,41 @@
 Everything here trades speed for independence from the production code
 paths: path enumeration instead of dynamic programming, an alternating
 projection loop instead of the direct solver, ancestor-closure scans
-instead of edge scans.  Hard size caps keep the exponential pieces honest.
+instead of edge scans, a depth-first reachability walk instead of the
+level plan.  Hard size caps keep the exponential pieces honest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dag import Dag
-from .errors import ConvergenceError, SizeError
+from hde import ConvergenceError, Dag
+
+
+class SizeError(Exception):
+    """Brute-force oracle invoked above its hard size cap."""
+
+
+def ancestors(dag: Dag, node) -> tuple:
+    """All nodes reachable from `node` against edge direction, excluding itself."""
+    return _reach(dag, node, dag.parents)
+
+
+def descendants(dag: Dag, node) -> tuple:
+    """All nodes reachable from `node` along edge direction, excluding itself."""
+    return _reach(dag, node, dag.children)
+
+
+def _reach(dag, node, adjacency):
+    seen = set()
+    stack = list(adjacency(node))  # raises UnknownNodeError for a bad node
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(adjacency(n))
+    # deterministic: global node order
+    return tuple(sorted(seen, key=dag.index))
 
 
 def longest_path_oracle(dag: Dag, node: str) -> int:
@@ -97,12 +123,12 @@ def validity_oracle(dag: Dag, labeling_or_row) -> bool:
         chosen = labeling_or_row
         closure = set(chosen)
         for n in chosen:
-            closure.update(dag.ancestors(n))
+            closure.update(ancestors(dag, n))
         return closure == set(chosen)
     row = np.asarray(labeling_or_row, dtype=np.float64)
     for n in dag.nodes:
         s = row[dag.index(n)]
-        for a in dag.ancestors(n):
+        for a in ancestors(dag, n):
             if row[dag.index(a)] < s:
                 return False
     return True

@@ -2,8 +2,10 @@
 
 These are the original node-at-a-time HTD, TPR bottom-up and TPR top-down
 passes.  They visit one node per step and gather its parents, children or
-descendants by name, so they are slow but plainly follow the algorithm;
-`test_plan.py` requires the compiled kernels to match them bit for bit.
+descendants by name (descendants by the depth-first walk of
+`oracles.descendants`, not the level plan), so they are slow but plainly
+follow the algorithm; `test_plan.py` requires the compiled kernels to
+match them bit for bit.
 `positive_children` restates the bottom-up positive-set selection for one
 node; `test_tpr.py` checks its membership rules.  `kkt_residual` certifies
 an isotonic projection without the production solver.
@@ -20,6 +22,8 @@ from hde import ScoreMatrix
 from hde.dag import _records
 from hde.errors import ParseError, RangeError
 from hde.thresholds import ThresholdVector, _class_metrics
+
+from oracles import descendants
 
 
 def htd_matrix(dag, levels, flat):
@@ -53,7 +57,7 @@ def positive_children(dag, node, current, flat, config):
 
 def sub_dag_distances(dag, node):
     """Longest-path distance from `node` to each of its descendants."""
-    desc = set(dag.descendants(node))
+    desc = set(descendants(dag, node))
     dist = {node: 0}
     for n in dag.topological_order():
         if n not in desc:
@@ -73,7 +77,7 @@ def bottom_up_matrix(dag, levels, flat, cfg):
                 members = dag.children(n)
                 weights = None
             else:
-                members = dag.descendants(n)
+                members = descendants(dag, n)
                 if cfg.descendant_mode == "descendants-linear" and members:
                     dists = sub_dag_distances(dag, n)
                     d_max = max(dists.values())

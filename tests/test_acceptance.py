@@ -25,11 +25,11 @@ from hde import (
     tpr_correct_matrix,
 )
 from hde.cli import main as cli_main
-from hde.oracles import iso_oracle, longest_path_oracle
 from hde.tpr import _bottom_up_matrix
 
 import per_node_reference as ref
 from conftest import random_dag, threshold_config
+from oracles import iso_oracle, longest_path_oracle
 
 ISO_EPS = 0.0
 

@@ -140,6 +140,23 @@ class TestCorrect:
         assert code == 3
         assert capsys.readouterr().err.startswith("E_PARAM:")
 
+    @pytest.mark.parametrize("digits", [1075, 2 ** 31])
+    def test_too_many_digits_is_param_error(self, fx, capsys, digits):
+        # rejected before any output: the header must not be written
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "htd", "--digits", digits)
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [l.startswith("E_PARAM:") for l in err.splitlines()] == [True]
+
+    def test_most_digits_print_every_float_exactly(self, fx, capsys):
+        assert run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "htd",
+                   "--digits", "1074") == 0
+        row = capsys.readouterr().out.splitlines()[-1].split("\t")
+        assert row[1:] == [format(v, ".1074f") for v in (0.9, 0.5, 0.7, 0.5)]
+
     def test_w_without_tpr_w_is_param_error(self, fx, capsys):
         code = run("correct", "--dag", fx / "dag.tsv", "--scores",
                    fx / "scores.tsv", "--method", "htd", "--w", "0.3")
@@ -219,9 +236,12 @@ class TestUsageErrors:
          "--labels", "scores.tsv"],
         ["eval", "--dag", "dag.tsv", "--scores", "scores.tsv",
          "--labels", "scores.tsv", "--threshold", "0.9",
-         "--thresholds-file", "thr.tsv"]],
+         "--thresholds-file", "thr.tsv"],
+        ["fit-thresholds", "--dag", "dag.tsv", "--scores", "scores.tsv",
+         "--labels", "labels.tsv", "--strategy", "global"]],
         ids=["no-command", "no-dag", "bad-method", "bad-threshold",
-             "eval-no-threshold", "eval-two-thresholds"])
+             "eval-no-threshold", "eval-two-thresholds",
+             "fit-strategy-global"])
     def test_usage_error_is_one_param_line(self, fx, capsys, argv):
         argv = [fx / a if a.endswith(".tsv") else a for a in argv]
         assert run(*argv) == 3
@@ -318,14 +338,6 @@ class TestFitThresholdsAndEval:
             "e3\t1\t0\t1\n"
             "e4\t1\t0\t1\n")
 
-    def test_global(self, tmp_path):
-        self.make_training(tmp_path)
-        out = tmp_path / "t.tsv"
-        assert run("fit-thresholds", "--dag", tmp_path / "tdag.tsv",
-                   "--strategy", "global", "--t", "0.5", "-o", out) == 0
-        tv = read_thresholds(out)
-        assert tv.values.tolist() == [0.5, 0.5, 0.5]
-
     def test_percentile_k100_is_max_positive(self, tmp_path):
         self.make_training(tmp_path)
         out = tmp_path / "t.tsv"
@@ -367,8 +379,8 @@ class TestFitThresholdsAndEval:
                 _parse_grid(spec)
 
     @pytest.mark.parametrize("argv", [
-        ["fit-thresholds", "--strategy", "global", "--t", "2"],
-        ["fit-thresholds", "--strategy", "global", "--t", "nan"],
+        ["fit-thresholds", "--strategy", "percentile", "--k", "-1"],
+        ["eval", "--threshold", "1.5"],
         ["fit-thresholds", "--strategy", "percentile", "--k", "nan"],
         ["fit-thresholds", "--strategy", "percentile", "--k", "101"],
         ["eval", "--threshold", "nan"]])
@@ -380,14 +392,13 @@ class TestFitThresholdsAndEval:
         assert capsys.readouterr().err.startswith("E_PARAM:")
 
     @pytest.mark.parametrize("strategy, extra", [
-        ("global", ["--t", "0.5", "--grid", "0.1:0.9:0.1"]),
+        ("percentile", ["--grid", "0.1:0.9:0.1"]),
         ("percentile", ["--k", "50", "--grid", "0.1:0.9:0.1"]),
         ("fscore", ["--t", "0.5"]), ("percentile", ["--k", "50", "--t", "0.5"]),
-        ("global", ["--t", "0.5", "--k", "50"]), ("fscore", ["--k", "50"]),
-        ("global", ["--t", "0.5"])])
+        ("percentile", ["--k", "101", "--grid", "0.1:0.9:0.1"]),
+        ("fscore", ["--k", "50"])])
     def test_unused_option_is_param_error(self, tmp_path, capsys, strategy,
                                           extra):
-        # --scores and --labels are unused by --strategy global
         self.make_training(tmp_path)
         assert run("fit-thresholds", "--dag", tmp_path / "tdag.tsv",
                    "--scores", tmp_path / "tscores.tsv",
@@ -537,3 +548,17 @@ class TestScipyStaysUnloaded:
              "correct-htd", "correct-tpr", "correct-iso-tpr"])
     def test_scipy_not_imported(self, fx, argv, code):
         assert self.fresh_run(fx, argv) == [code, False]
+
+
+def test_every_package_module_is_loaded_by_the_cli():
+    """The package holds no reference-only module: a fresh interpreter that
+    imports hde and hde.cli has loaded every module in it."""
+    script = ("import pkgutil, sys\n"
+              "import hde, hde.cli\n"
+              "print([m.name for m in pkgutil.iter_modules(hde.__path__)\n"
+              "       if f'hde.{m.name}' not in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,14 @@ from hde import (
     read_edge_list,
     write_edge_list,
 )
-from hde.oracles import bellman_ford_levels, longest_path_oracle
 
 from conftest import random_dag
+from oracles import (
+    ancestors,
+    bellman_ford_levels,
+    descendants,
+    longest_path_oracle,
+)
 
 
 class TestBuildDag:
@@ -111,16 +118,21 @@ class TestRelatives:
         assert set(dag.parents("c")) == {"a", "b"}
 
     def test_ancestors(self, dag):
-        assert set(dag.ancestors("c")) == {"r", "a", "b"}
+        assert set(ancestors(dag, "c")) == {"r", "a", "b"}
 
     def test_descendants(self, dag):
-        assert set(dag.descendants("r")) == {"a", "b", "c"}
+        assert set(descendants(dag, "r")) == {"a", "b", "c"}
 
     def test_node_excluded_from_all_kinds(self, dag):
-        for relation in (dag.children, dag.parents, dag.ancestors,
-                         dag.descendants):
+        for relation in (dag.children, dag.parents,
+                         partial(ancestors, dag), partial(descendants, dag)):
             for n in dag.nodes:
                 assert n not in relation(n)
+
+    def test_unknown_node(self, dag):
+        for relation in (ancestors, descendants):
+            with pytest.raises(UnknownNodeError):
+                relation(dag, "nope")
 
     def test_anc_desc_inverse(self):
         rng = np.random.default_rng(7)
@@ -128,7 +140,7 @@ class TestRelatives:
             dag = random_dag(rng, int(rng.integers(2, 15)))
             for i in dag.nodes:
                 for j in dag.nodes:
-                    assert (j in dag.ancestors(i)) == (i in dag.descendants(j))
+                    assert (j in ancestors(dag, i)) == (i in descendants(dag, j))
 
 
 class TestComputeLevels:

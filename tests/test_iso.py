@@ -12,12 +12,12 @@ from hde import (
     iso_tpr_correct,
     isotonic_project,
 )
-from hde.oracles import iso_oracle
 
 from hde.dag import Dag
 from hde.tpr import _bottom_up_matrix
 
 from conftest import random_dag, random_scores, threshold_config
+from oracles import iso_oracle
 from per_node_reference import kkt_residual
 
 EPS = 1e-9
@@ -193,3 +193,11 @@ class TestIsoTprCorrect:
                               on_flat=True)
         expected = isotonic_project(dag, y).values
         assert out == pytest.approx(expected, abs=1e-12)
+
+    def test_config_none_requires_on_flat(self, diamond):
+        dag, lv = diamond
+        y = np.array([0.9, 0.5, 0.7, 0.6])
+        with pytest.raises(ValueError, match="config is required unless on_flat"):
+            iso_tpr_correct(dag, lv, y, None)
+        assert np.array_equal(iso_tpr_correct(dag, lv, y, None, on_flat=True),
+                              isotonic_project(dag, y).values)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from hde import SizeError, build_dag, check_valid_continuous
-from hde.oracles import (
+from hde import build_dag, check_valid_continuous
+
+from conftest import random_dag
+from oracles import (
+    SizeError,
     bellman_ford_levels,
     iso_oracle,
     longest_path_oracle,
     validity_oracle,
 )
-
-from conftest import random_dag
 
 
 class TestLongestPathOracle:

@@ -21,10 +21,10 @@ from hde import (
     read_scores,
     write_scores,
 )
-from hde.oracles import validity_oracle
 
 import per_node_reference as ref
 from conftest import random_dag
+from oracles import validity_oracle
 
 
 @pytest.fixture
