@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,37 +34,70 @@ class Dag:
     edge set and adds a synthetic root when the input has several roots.
     Node order is the first-appearance order in the (possibly augmented)
     edge list and is used everywhere determinism matters.
+
+    The core is integer: each edge's parent and child node indices, each
+    node's child indices in edge order, and one first-in first-out Kahn
+    pass over them that gives the topological order and every node's
+    max-distance level at once.  The name-keyed relatives and the names of
+    the topological order are built on first use.
     """
 
     __slots__ = (
-        "nodes", "edges", "root", "synthetic_root_flag",
-        "_index", "_children", "_parents", "_order", "_edge_arrays",
+        "nodes", "edges", "root", "synthetic_root_flag", "_index", "_pi",
+        "_ci", "_kid_ix", "_kid_at", "_order_ix", "_level", "_order",
+        "_relatives",
     )
 
     def __init__(self, nodes, edges, root, synthetic_root_flag):
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
+        nodes = tuple(nodes)
+        index = dict(zip(nodes, range(len(nodes))))
+        edges = tuple(edges)
+        self._link(nodes, edges, root, synthetic_root_flag, index,
+                   *_edge_ends(index, edges))
+
+    @classmethod
+    def _from_index(cls, nodes, edges, root, synthetic_root_flag, index,
+                    pi, ci):
+        """A Dag from names already interned: `index` maps each node to its
+        position in `nodes`, `pi`/`ci` hold each edge's parent and child
+        positions."""
+        dag = cls.__new__(cls)
+        dag._link(tuple(nodes), tuple(edges), root, synthetic_root_flag,
+                  index, pi, ci)
+        return dag
+
+    def _link(self, nodes, edges, root, synthetic_root_flag, index, pi, ci):
+        self.nodes = nodes
+        self.edges = edges
         self.root = root
         self.synthetic_root_flag = synthetic_root_flag
-        self._index = {n: i for i, n in enumerate(self.nodes)}
-        children = {n: [] for n in self.nodes}
-        parents = {n: [] for n in self.nodes}
-        for p, c in self.edges:
-            children[p].append(c)
-            parents[c].append(p)
-        self._children = {n: tuple(v) for n, v in children.items()}
-        self._parents = {n: tuple(v) for n, v in parents.items()}
-        # Kahn's algorithm, first in first out; on a cyclic graph the nodes
-        # on or below a cycle are left out
-        indeg = {n: len(v) for n, v in self._parents.items()}
-        order = [n for n in self.nodes if not indeg[n]]
-        for n in order:  # the list grows while it is walked
-            for c in self._children[n]:
+        self._index = index
+        pi.flags.writeable = False
+        ci.flags.writeable = False
+        self._pi, self._ci = pi, ci
+        n = len(nodes)
+        # each node's children in edge order: kid_ix[kid_at[v]:kid_at[v + 1]]
+        self._kid_ix, self._kid_at = kid_ix, kid_at = _csr(pi, ci, n)
+        # Kahn's algorithm, first in first out; a node is appended once its
+        # last parent is done, so its level is final by then.  On a cyclic
+        # graph the nodes on or below a cycle are left out.
+        indeg = np.bincount(ci, minlength=n)
+        order = np.flatnonzero(indeg == 0).tolist()
+        indeg = indeg.tolist()
+        level = [0] * n
+        for v in order:  # the list grows while it is walked
+            below = level[v] + 1
+            for c in kid_ix[kid_at[v]:kid_at[v + 1]]:
+                if level[c] < below:
+                    level[c] = below
                 indeg[c] -= 1
                 if not indeg[c]:
                     order.append(c)
-        self._order = tuple(order)
-        self._edge_arrays = None  # filled by edge_index_arrays
+        self._order_ix = order
+        self._level = np.array(level, dtype=np.intp)
+        self._level.flags.writeable = False
+        self._order = None  # names of the order, built on first use
+        self._relatives = None  # name tuples per node, built on first use
 
     def __len__(self):
         return len(self.nodes)
@@ -92,12 +126,20 @@ class Dag:
             raise UnknownNodeError(f"unknown node {node!r}") from None
 
     def children(self, node):
-        self.index(node)
-        return self._children[node]
+        return self._named()[0][self.index(node)]
 
     def parents(self, node):
-        self.index(node)
-        return self._parents[node]
+        return self._named()[1][self.index(node)]
+
+    def _named(self):
+        """(children, parents): per node index, a tuple of names in edge
+        order."""
+        if self._relatives is None:
+            n = len(self)
+            self._relatives = (
+                _named_groups(self.nodes, self._pi, self._ci, n),
+                _named_groups(self.nodes, self._ci, self._pi, n))
+        return self._relatives
 
     def topological_order(self):
         """Nodes in a topological order (parents before children).
@@ -105,23 +147,39 @@ class Dag:
         Kept from the constructor's Kahn pass.  On a cyclic graph the nodes
         on or below a cycle are missing from the result.
         """
+        if self._order is None:
+            self._order = tuple(map(self.nodes.__getitem__, self._order_ix))
         return self._order
+
+
+def _edge_ends(index, edges):
+    """(pi, ci): each edge's parent and child position by `index`."""
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)),
+                       dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
+    return ends[:, 0].copy(), ends[:, 1].copy()
+
+
+def _csr(key, value, n):
+    """(flat, at): `value`'s entries grouped by `key`, the group of key k
+    being flat[at[k]:at[k + 1]] in input order, for k in 0..n-1."""
+    flat = value[np.argsort(key, kind="stable")].tolist()
+    return flat, [0] + np.cumsum(np.bincount(key, minlength=n)).tolist()
+
+
+def _named_groups(nodes, key, value, n):
+    """For each k in 0..n-1, the names in `nodes` of `value`'s entries whose
+    key is k, as a tuple in input order."""
+    flat, at = _csr(key, value, n)
+    name = nodes.__getitem__
+    return [tuple(map(name, flat[a:b])) for a, b in zip(at, at[1:])]
 
 
 def edge_index_arrays(dag: Dag):
     """(parent_indices, child_indices) int arrays, one entry per edge.
 
-    Built once per Dag and shared, so the arrays are read-only.
+    Kept by the Dag and shared, so the arrays are read-only.
     """
-    if dag._edge_arrays is None:
-        pi = np.fromiter((dag.index(p) for p, _ in dag.edges),
-                         dtype=np.intp, count=len(dag.edges))
-        ci = np.fromiter((dag.index(c) for _, c in dag.edges),
-                         dtype=np.intp, count=len(dag.edges))
-        pi.flags.writeable = False
-        ci.flags.writeable = False
-        dag._edge_arrays = (pi, ci)
-    return dag._edge_arrays
+    return dag._pi, dag._ci
 
 
 @dataclass(frozen=True)
@@ -142,12 +200,13 @@ class LevelMap:
     @cached_property
     def plan(self) -> LevelPlan:
         """The levels compiled into index arrays; built on first use."""
-        return LevelPlan(self)
+        return LevelPlan(self.dag)
 
 
 class LevelPlan:
     """Integer index arrays of every level, shared by all correction passes.
 
+    Built from the Dag's edge arrays and max-distance levels.
     `down` holds, for levels 1..max_level, (nodes, parents, offsets): the
     level's node indices, their parents' indices concatenated in node order,
     and where each node's run of parents starts (`reduceat` offsets).
@@ -158,23 +217,22 @@ class LevelPlan:
     order, and so with the same rounding, as a loop over single nodes.
     """
 
-    def __init__(self, levels: LevelMap):
-        dag = levels.dag
-        self._levels = levels
+    def __init__(self, dag: Dag):
+        self._dag = dag
         n = len(dag)
-        self._node_level = level = np.fromiter(
-            (levels.dist[m] for m in dag.nodes), dtype=np.intp, count=n)
+        level = dag._level
+        max_level = int(level.max())
         pi, ci = edge_index_arrays(dag)
         # nodes by (level, index); edges by (child level, child, edge order)
         nodes = np.argsort(level, kind="stable")
         by_child = np.lexsort((ci, level[ci]))
         parents = pi[by_child]
-        node_at = np.searchsorted(level[nodes], np.arange(levels.max_level + 2))
+        node_at = np.searchsorted(level[nodes], np.arange(max_level + 2))
         edge_at = np.searchsorted(level[ci[by_child]],
-                                  np.arange(levels.max_level + 2))
+                                  np.arange(max_level + 2))
         indeg = np.bincount(ci, minlength=n)
         self.down = []
-        for d in range(1, levels.max_level + 1):
+        for d in range(1, max_level + 1):
             ni = nodes[node_at[d]:node_at[d + 1]]
             self.down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
                               np.cumsum(indeg[ni]) - indeg[ni]))
@@ -191,22 +249,21 @@ class LevelPlan:
         where dist is the longest node-to-descendant path and d_max the
         largest such dist of the node.
         """
-        levels = self._levels
-        dag = levels.dag
-        ix = dag._index
+        dag = self._dag
+        kid_ix, kid_at = dag._kid_ix, dag._kid_at
         # longest path from each node to each of its descendants, merged
         # from the children's maps in one sweep in reverse topological
         # (deepest level first) order; a map is dropped once every parent
         # has merged it
         reach = {}
-        pending = {n: len(ps) for n, ps in dag._parents.items()}
+        pending = np.bincount(dag._ci, minlength=len(dag)).tolist()
         blocks = []
-        for d in range(levels.max_level, 0, -1):
+        for level_nodes, _, _ in reversed(self.down):
             owners, members, lengths, longest = [], [], [], []
-            for n in levels.levels[d]:
+            for n in level_nodes.tolist():
                 far = {}
-                for c in dag._children[n]:
-                    far.setdefault(ix[c], 1)
+                for c in kid_ix[kid_at[n]:kid_at[n + 1]]:
+                    far.setdefault(c, 1)
                     for m, dist in reach[c].items():
                         if dist + 1 > far.get(m, 0):
                             far[m] = dist + 1
@@ -215,13 +272,13 @@ class LevelPlan:
                         del reach[c]
                 reach[n] = far
                 desc = sorted(far)
-                owners += [ix[n]] * len(desc)
+                owners += [n] * len(desc)
                 members += desc
                 lengths += [far[m] for m in desc]
                 longest += [max(far.values(), default=0)] * len(desc)
             d_max, dist = np.array(longest), np.array(lengths)
             blocks += _width_blocks(
-                self._node_level, np.array(owners, dtype=np.intp),
+                dag._level, np.array(owners, dtype=np.intp),
                 np.array(members, dtype=np.intp), (d_max - dist + 1) / d_max)
         return blocks
 
@@ -295,47 +352,65 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     root of an already-augmented edge list, so serialization round-trips.
 
     With `dedup` repeated edges are silently collapsed; otherwise they raise.
+    The first offending edge in input order is reported; on one edge a bad
+    identifier comes before a self-loop, and a self-loop before a repeat.
     """
-    edges = list(edges)
+    edges = list(map(tuple, edges))
     if not edges:
         raise EmptyGraphError("edge list is empty")
+    if set(map(len, edges)) != {2}:
+        raise ValueError("edges must be (parent, child) pairs")
 
-    seen = set()
-    clean = []
-    for k, (p, c) in enumerate(edges):
-        if not isinstance(p, str) or not isinstance(c, str) or not p or not c:
-            raise DagError(f"edge #{k + 1}: identifiers must be non-empty strings")
-        if p == c:
+    # the edges before the first bad identifier (all of them if none) are
+    # interned and checked on index arrays; an earlier self-loop or repeat
+    # is reported first
+    try:
+        index = dict.fromkeys(chain.from_iterable(edges))
+        ids_ok = all(isinstance(n, str) and n for n in index)
+    except TypeError:  # an unhashable identifier
+        ids_ok = False
+    m = len(edges)
+    if not ids_ok:
+        m = next(k for k, (p, c) in enumerate(edges)
+                 if not (isinstance(p, str) and isinstance(c, str) and p and c))
+        index = dict.fromkeys(chain.from_iterable(edges[:m]))
+    n = len(index)
+    index = dict(zip(index, range(n)))
+    pi, ci = _edge_ends(index, edges[:m])
+    first = np.unique(pi * n + ci, return_index=True)[1]
+    repeat = np.ones(m, dtype=bool)
+    repeat[first] = False
+    loop = pi == ci
+    bad = loop if dedup else loop | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        p, c = edges[k]
+        if loop[k]:
             raise SelfLoopError(f"self-loop on node {p!r}")
-        if (p, c) in seen:
-            if dedup:
-                continue
-            raise DuplicateEdgeError(f"duplicate edge ({p!r}, {c!r})")
-        seen.add((p, c))
-        clean.append((p, c))
-    edges = clean
+        raise DuplicateEdgeError(f"duplicate edge ({p!r}, {c!r})")
+    if m < len(edges):
+        raise DagError(f"edge #{m + 1}: identifiers must be non-empty strings")
+    if repeat.any():
+        keep = np.sort(first)
+        edges = [edges[k] for k in keep.tolist()]
+        pi, ci = pi[keep], ci[keep]
 
-    nodes = []
-    index = {}
-    for p, c in edges:
-        for n in (p, c):
-            if n not in index:
-                index[n] = len(nodes)
-                nodes.append(n)
-
-    has_parent = {c for _, c in edges}
-    roots = [n for n in nodes if n not in has_parent]
+    nodes = list(index)
+    roots = np.flatnonzero(np.bincount(ci, minlength=n) == 0).tolist()
 
     # no root at all: Kahn's order below comes out empty, so it is a cycle
-    root = roots[0] if roots else None
+    root = nodes[roots[0]] if roots else None
     synthetic = SYNTHETIC_ROOT in index
     if len(roots) > 1:
         if synthetic:
             raise DagError(
                 f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root "
                 "but appears in a multi-root edge list")
-        edges += [(SYNTHETIC_ROOT, r) for r in roots]
+        edges += [(SYNTHETIC_ROOT, nodes[r]) for r in roots]
+        index[SYNTHETIC_ROOT] = n
         nodes.append(SYNTHETIC_ROOT)
+        pi = np.concatenate([pi, np.full(len(roots), n, dtype=np.intp)])
+        ci = np.concatenate([ci, np.array(roots, dtype=np.intp)])
         root = SYNTHETIC_ROOT
         synthetic = True
     elif synthetic and roots and root != SYNTHETIC_ROOT:
@@ -343,8 +418,8 @@ def build_dag(edges, dedup: bool = False) -> Dag:
             f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root")
     # otherwise a lone "__ROOT__" root is the round-trip of an augmented graph
 
-    dag = Dag(nodes, edges, root, synthetic)
-    if len(dag._order) < len(nodes):
+    dag = Dag._from_index(nodes, edges, root, synthetic, index, pi, ci)
+    if len(dag._order_ix) < len(nodes):
         raise CycleError(_find_cycle(dag))
     return dag
 
@@ -357,13 +432,13 @@ def _find_cycle(dag):
     stretch between the two visits, reversed, is a cycle in parent -> child
     order; its first node is repeated at the end.
     """
-    done = set(dag._order)
+    done = set(dag.topological_order())
     node = next(n for n in dag.nodes if n not in done)
     path, at = [], {}
     while node not in at:
         at[node] = len(path)
         path.append(node)
-        node = next(p for p in dag._parents[node] if p not in done)
+        node = next(p for p in dag.parents(node) if p not in done)
     cycle = path[at[node]:][::-1]
     return cycle + cycle[:1]
 
@@ -371,35 +446,37 @@ def _find_cycle(dag):
 def compute_levels(dag: Dag) -> LevelMap:
     """Longest-path distance from the root for every node.
 
-    Dynamic programming over the Dag's kept topological order: dist(root)
-    = 0 and dist(n) = 1 + max over parents of dist(parent).  Equivalent to
-    running Bellman-Ford on negated edge weights, in linear instead of
-    quadratic time.
+    The Dag's Kahn pass sets dist(root) = 0 and dist(n) = 1 + max over
+    parents of dist(parent), each node once its last parent is done: the
+    same answer as Bellman-Ford on negated edge weights, in linear instead
+    of quadratic time.  This wraps those levels, keyed by name.
     """
-    dist = {}
-    for n in dag.topological_order():
-        ps = dag.parents(n)
-        dist[n] = 1 + max(dist[p] for p in ps) if ps else 0
-    levels = {}
-    for n in dag.nodes:  # node order within each level
-        levels.setdefault(dist[n], []).append(n)
-    levels = {d: tuple(v) for d, v in levels.items()}
-    return LevelMap(dag=dag, dist=dist, levels=levels, max_level=max(levels))
+    if len(dag._order_ix) < len(dag):
+        raise CycleError(_find_cycle(dag))
+    level = dag._level
+    by_level = _named_groups(dag.nodes, level, np.arange(len(dag)),
+                             int(level.max()) + 1)
+    return LevelMap(dag=dag, dist=dict(zip(dag.nodes, level.tolist())),
+                    levels=dict(enumerate(by_level)),
+                    max_level=len(by_level) - 1)
 
 
 def _records(path, comments=None):
     """Yield (lineno, line without its newline) of each line of a UTF-8 file
     that is neither blank nor a `#` comment, adding comment texts to
-    `comments` if given.  Not UTF-8: ParseError, no line (text mode decodes
-    in chunks)."""
+    `comments` if given: the text after the `#` and one optional space,
+    without the newline, so that writing `# text` reads back as `text`.
+    Not UTF-8: ParseError, no line (text mode decodes in chunks)."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                text = line.lstrip()
+                if not text:
                     continue
-                if line.lstrip().startswith("#"):
+                if text.startswith("#"):
                     if comments is not None:
-                        comments.append(line.lstrip("# ").rstrip())
+                        text = text[1:].removesuffix("\n")
+                        comments.append(text.removeprefix(" "))
                     continue
                 yield lineno, line.rstrip("\n")
     except UnicodeDecodeError:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +111,11 @@ def count_violations(dag: Dag, values: np.ndarray, eps: float = 0.0) -> int:
 
 def _violation_mask(dag: Dag, values: np.ndarray, eps: float = 0.0):
     """(rows, edges) mask of child > parent + eps, edges in `dag.edges`
-    order: the one statement of the rule that every violation check uses."""
+    order: the one statement of the rule that every violation check uses.
+    A non-finite eps is a ValueError: every comparison with NaN is false,
+    so it would pass every row as valid."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     pi, ci = edge_index_arrays(dag)
     return values[:, ci] > values[:, pi] + eps
 

@@ -13,14 +13,31 @@ an isotonic projection without the production solver.
 `read_scores_rows` and `fit_fscore_grid` are the per-cell scores reader and
 the per-grid-value F-score fit: `test_scores.py` and `test_thresholds.py`
 require `read_scores` and `fit_fscore` to match them bit for bit.
+
+`build_by_name` is the taxonomy build on name-keyed dicts: one validation
+loop over the edges, child and parent dicts of tuples, Kahn's algorithm and
+the longest-path levels on names.  `plan_by_name` compiles its levels into
+the level plan's arrays, walking descendants through those dicts.
+`test_dag.py` requires `build_dag`, `compute_levels` and `LevelPlan` to
+give what they give.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import nnls
 
 from hde import ScoreMatrix
-from hde.dag import _records
-from hde.errors import ParseError, RangeError
+from hde.dag import SYNTHETIC_ROOT, _records, _width_blocks
+from hde.errors import (
+    CycleError,
+    DagError,
+    DuplicateEdgeError,
+    EmptyGraphError,
+    ParseError,
+    RangeError,
+    SelfLoopError,
+)
 from hde.thresholds import ThresholdVector, _class_metrics
 
 from oracles import descendants
@@ -205,3 +222,138 @@ def fit_fscore_grid(train_scores, train_labels, grid):
         out[better] = t
     out[~pos.any(axis=0)] = grid[-1]
     return ThresholdVector(ids, out, "fscore")
+
+
+def build_by_name(edges, dedup=False):
+    """What `build_dag(edges, dedup)` and `compute_levels` give, or raise,
+    as a namespace: nodes, edges, root, synthetic, order (Kahn's,
+    first in first out), children and parents (name -> tuple), dist and
+    levels."""
+    edges = list(edges)
+    if not edges:
+        raise EmptyGraphError("edge list is empty")
+    seen = set()
+    clean = []
+    for k, (p, c) in enumerate(edges):
+        if not isinstance(p, str) or not isinstance(c, str) or not p or not c:
+            raise DagError(
+                f"edge #{k + 1}: identifiers must be non-empty strings")
+        if p == c:
+            raise SelfLoopError(f"self-loop on node {p!r}")
+        if (p, c) in seen:
+            if dedup:
+                continue
+            raise DuplicateEdgeError(f"duplicate edge ({p!r}, {c!r})")
+        seen.add((p, c))
+        clean.append((p, c))
+    edges = clean
+    nodes = []
+    index = {}
+    for p, c in edges:
+        for n in (p, c):
+            if n not in index:
+                index[n] = len(nodes)
+                nodes.append(n)
+    has_parent = {c for _, c in edges}
+    roots = [n for n in nodes if n not in has_parent]
+    root = roots[0] if roots else None
+    synthetic = SYNTHETIC_ROOT in index
+    if len(roots) > 1:
+        if synthetic:
+            raise DagError(
+                f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root "
+                "but appears in a multi-root edge list")
+        edges += [(SYNTHETIC_ROOT, r) for r in roots]
+        nodes.append(SYNTHETIC_ROOT)
+        root = SYNTHETIC_ROOT
+        synthetic = True
+    elif synthetic and roots and root != SYNTHETIC_ROOT:
+        raise DagError(
+            f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root")
+    children = {n: [] for n in nodes}
+    parents = {n: [] for n in nodes}
+    for p, c in edges:
+        children[p].append(c)
+        parents[c].append(p)
+    children = {n: tuple(v) for n, v in children.items()}
+    parents = {n: tuple(v) for n, v in parents.items()}
+    indeg = {n: len(v) for n, v in parents.items()}
+    order = [n for n in nodes if not indeg[n]]
+    for n in order:
+        for c in children[n]:
+            indeg[c] -= 1
+            if not indeg[c]:
+                order.append(c)
+    if len(order) < len(nodes):
+        done = set(order)
+        node = next(n for n in nodes if n not in done)
+        path, at = [], {}
+        while node not in at:
+            at[node] = len(path)
+            path.append(node)
+            node = next(p for p in parents[node] if p not in done)
+        cycle = path[at[node]:][::-1]
+        raise CycleError(cycle + cycle[:1])
+    dist = {}
+    for n in order:
+        ps = parents[n]
+        dist[n] = 1 + max(dist[p] for p in ps) if ps else 0
+    levels = {}
+    for n in nodes:
+        levels.setdefault(dist[n], []).append(n)
+    return SimpleNamespace(
+        nodes=tuple(nodes), edges=tuple(edges), root=root,
+        synthetic=synthetic, order=tuple(order), children=children,
+        parents=parents, dist=dist,
+        levels={d: tuple(v) for d, v in levels.items()})
+
+
+def plan_by_name(built):
+    """(down, up, descendants) of the level plan of `build_by_name`'s
+    result: level array from `dist`, edges mapped to indices one by one,
+    descendant maps merged through the name dicts."""
+    ix = {m: i for i, m in enumerate(built.nodes)}
+    n = len(built.nodes)
+    max_level = max(built.levels)
+    level = np.array([built.dist[m] for m in built.nodes], dtype=np.intp)
+    pi = np.array([ix[p] for p, _ in built.edges], dtype=np.intp)
+    ci = np.array([ix[c] for _, c in built.edges], dtype=np.intp)
+    nodes = np.argsort(level, kind="stable")
+    by_child = np.lexsort((ci, level[ci]))
+    parents = pi[by_child]
+    node_at = np.searchsorted(level[nodes], np.arange(max_level + 2))
+    edge_at = np.searchsorted(level[ci[by_child]], np.arange(max_level + 2))
+    indeg = np.bincount(ci, minlength=n)
+    down = []
+    for d in range(1, max_level + 1):
+        ni = nodes[node_at[d]:node_at[d + 1]]
+        down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
+                     np.cumsum(indeg[ni]) - indeg[ni]))
+    inner = level[pi] > 0
+    up = _width_blocks(level, pi[inner], ci[inner], None)
+    reach = {}
+    pending = {m: len(ps) for m, ps in built.parents.items()}
+    descendants = []
+    for d in range(max_level, 0, -1):
+        owners, members, lengths, longest = [], [], [], []
+        for m in built.levels[d]:
+            far = {}
+            for c in built.children[m]:
+                far.setdefault(ix[c], 1)
+                for j, dist in reach[c].items():
+                    if dist + 1 > far.get(j, 0):
+                        far[j] = dist + 1
+                pending[c] -= 1
+                if not pending[c]:
+                    del reach[c]
+            reach[m] = far
+            desc = sorted(far)
+            owners += [ix[m]] * len(desc)
+            members += desc
+            lengths += [far[j] for j in desc]
+            longest += [max(far.values(), default=0)] * len(desc)
+        d_max, dist = np.array(longest), np.array(lengths)
+        descendants += _width_blocks(
+            level, np.array(owners, dtype=np.intp),
+            np.array(members, dtype=np.intp), (d_max - dist + 1) / d_max)
+    return down, up, descendants

@@ -2,9 +2,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hde import (
     CycleError,
+    Dag,
     DagError,
     DuplicateEdgeError,
     EmptyGraphError,
@@ -23,6 +26,7 @@ from oracles import (
     descendants,
     longest_path_oracle,
 )
+from per_node_reference import build_by_name
 
 
 class TestBuildDag:
@@ -222,3 +226,107 @@ class TestEdgeListIO:
             path = tmp_path / f"d{k}.tsv"
             write_edge_list(dag, path)
             assert build_dag(read_edge_list(path)) == dag
+
+
+NAMES = ["a", "b", "c", "d", "e", "f"]
+# identifiers build_dag must refuse, one of them unhashable
+BAD_IDS = ["", 0, None, b"a", ("a",), ["a"]]
+
+
+@st.composite
+def edge_lists(draw):
+    """(edges, dedup): pairs over a few names, "__ROOT__" among them; drawn
+    acyclic (forward in a random name order) or not, with or without
+    self-loops and repeats, sometimes with one identifier replaced by a
+    bad one."""
+    names = draw(st.permutations(NAMES))[:draw(st.integers(2, len(NAMES)))]
+    if draw(st.integers(0, 3)) == 0:
+        names[draw(st.integers(0, len(names) - 1))] = "__ROOT__"
+    n = len(names)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=14))
+    if draw(st.booleans()):  # acyclic but for self-loops
+        pairs = [(min(i, j), max(i, j)) for i, j in pairs]
+    if draw(st.integers(0, 3)):
+        pairs = [(i, j) for i, j in pairs if i != j]
+    if draw(st.booleans()):
+        pairs = list(dict.fromkeys(pairs))
+    edges = [(names[i], names[j]) for i, j in pairs]
+    if edges and draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(0, len(edges) - 1))
+        bad = draw(st.sampled_from(BAD_IDS))
+        edges[k] = (bad, edges[k][1]) if draw(st.booleans()) else (edges[k][0], bad)
+    return edges, draw(st.booleans())
+
+
+def _outcome(build, edges, dedup):
+    try:
+        return build(edges, dedup), None
+    except DagError as exc:
+        return None, exc
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=edge_lists())
+def test_build_matches_name_dict_build(case):
+    """build_dag + compute_levels give what the name-keyed build gives: the
+    same Dag, order, levels, or the same error, and a real cycle."""
+    edges, dedup = case
+    ref, ref_err = _outcome(build_by_name, edges, dedup)
+    dag, err = _outcome(build_dag, edges, dedup)
+    if ref_err is not None:
+        assert type(err) is type(ref_err) and str(err) == str(ref_err)
+        if isinstance(err, CycleError):
+            cyc = err.cycle
+            assert cyc[0] == cyc[-1]
+            assert len(set(cyc[:-1])) == len(cyc) - 1
+            assert all(e in edges for e in zip(cyc, cyc[1:]))
+        return
+    assert err is None
+    assert (dag.nodes, dag.edges, dag.root, dag.synthetic_root_flag) == (
+        ref.nodes, ref.edges, ref.root, ref.synthetic)
+    assert all(type(e) is tuple for e in dag.edges)
+    assert dag.topological_order() == ref.order
+    lm = compute_levels(dag)
+    assert lm.dist == ref.dist
+    assert lm.levels == ref.levels
+    assert lm.max_level == max(ref.levels)
+    for n in dag.nodes:
+        assert dag.children(n) == ref.children[n]
+        assert dag.parents(n) == ref.parents[n]
+
+
+def test_name_dicts_not_built_by_setup():
+    rng = np.random.default_rng(16)
+    dag = build_dag(random_dag(rng, 40).edges)
+    plan = compute_levels(dag).plan
+    plan.descendants
+    assert dag._relatives is None and dag._order is None
+
+
+class TestTopologicalOrder:
+    def test_each_node_once_parents_first(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            dag = random_dag(rng, int(rng.integers(2, 40)))
+            order = dag.topological_order()
+            assert sorted(order) == sorted(dag.nodes)
+            at = {n: k for k, n in enumerate(order)}
+            assert all(at[p] < at[c] for p, c in dag.edges)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                          min_size=1, max_size=16, unique=True))
+    def test_cycle_leaves_out_nodes_on_or_below_it(self, pairs):
+        names = [f"n{i}" for i in range(8)]
+        dag = Dag(names, [(names[p], names[c]) for p, c in pairs], "n0",
+                  False)
+        on_cycle = {n for n in names if n in descendants(dag, n)}
+        below = {m for n in on_cycle for m in descendants(dag, n)}
+        order = dag.topological_order()
+        assert len(set(order)) == len(order)
+        assert set(names) - set(order) == on_cycle | below
+        at = {n: k for k, n in enumerate(order)}
+        assert all(at[p] < at[c] for p, c in dag.edges if c in at)

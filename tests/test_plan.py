@@ -9,7 +9,9 @@ after a node's own terms and each per-node sum keeps the reference's
 bits.  Both batch sizes are checked, and so is that numpy rule itself.
 """
 
+import importlib.util
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,43 @@ def test_plan_is_built_once_per_level_map():
     assert lv.plan is plan
     assert plan.descendants is desc
     assert compute_levels(dag).plan is not plan
+
+
+def _bench_generator():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the taxonomies of bench/run.py's workloads at seed 1, as gen.generate
+# draws them first from the seed
+BENCH_TAXONOMIES = {
+    "batch-tsv": lambda gen, rng: gen.go_like(rng, 2500, 2500),
+    "online-row": lambda gen, rng: gen.go_like(rng, 5000, 5000),
+    "iso-deep": lambda gen, rng: gen.deep_narrow(rng, 400, 160, 240),
+}
+
+
+def _assert_blocks_equal(blocks, expected):
+    assert len(blocks) == len(expected)
+    for block, want in zip(blocks, expected):
+        assert len(block) == len(want)
+        for a, b in zip(block, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_TAXONOMIES))
+def test_plan_matches_name_dict_plan_on_bench_taxonomies(workload):
+    names, edges = BENCH_TAXONOMIES[workload](
+        _bench_generator(), np.random.default_rng(1))
+    edges = [(names[p], names[c]) for p, c in edges]
+    plan = compute_levels(build_dag(edges)).plan
+    down, up, desc = ref.plan_by_name(ref.build_by_name(edges))
+    _assert_blocks_equal(plan.down, down)
+    _assert_blocks_equal(plan.up, up)
+    _assert_blocks_equal(plan.descendants, desc)
 
 
 def test_plan_is_not_built_by_compute_levels():

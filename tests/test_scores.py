@@ -73,6 +73,15 @@ class TestContinuousValidity:
         with pytest.raises(AlignmentError):
             check_valid_continuous(diamond_dag, [0.1, 0.2])
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # every comparison with NaN is false: the row would pass as valid
+        dag = build_dag([("r", "a")])
+        with pytest.raises(ValueError, match="eps must be finite"):
+            check_valid_continuous(dag, [0.5, 0.6], eps=eps)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            count_violations(dag, [[0.5, 0.6]], eps=eps)
+
     def test_count_violations_matches_per_row_reports(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -188,14 +197,25 @@ def per_scalar_text(matrix, digits):
     return "".join(line + "\n" for line in lines)
 
 
+# comment texts: any text a line can hold (text mode ends a line at \r
+# as well as \n)
+COMMENTS = st.lists(st.text(st.characters(exclude_categories=("Cs",),
+                                          exclude_characters="\r\n")),
+                    max_size=3)
+
+
 class TestScoresRoundTrip:
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
-    @given(values=SCORE_VALUES, digits=st.sampled_from([None, 0, 1, 3, 17]))
-    def test_write_read_round_trip(self, tmp_path_factory, values, digits):
+    @given(values=SCORE_VALUES, digits=st.sampled_from([None, 0, 1, 3, 17]),
+           comments=st.one_of(
+               st.just(["a note", "## section", " spaced ", "", "#"]),
+               COMMENTS))
+    def test_write_read_round_trip(self, tmp_path_factory, values, digits,
+                                   comments):
         m = ScoreMatrix([f"e{i}" for i in range(values.shape[0])],
                         [f"c{j}" for j in range(values.shape[1])],
-                        values, comments=["a note"])
+                        values, comments=comments)
         path = tmp_path_factory.mktemp("rt") / "s.tsv"
         write_scores(m, path, digits=digits)
         assert path.read_text(encoding="utf-8") == per_scalar_text(m, digits)
