@@ -81,30 +81,47 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
 def _forest_lawson_hanson(z, pi, ci):
     """(y, steps): Lawson-Hanson on the dual, the passive set an edge forest.
 
-    Each step adds the edge t with the largest y[child] - y[parent], which
-    merges two trees.  If the merged tree's flows are not all positive, the
-    usual step back to the feasible boundary drops the edges whose lam
-    reaches zero, and only the trees that split are solved again.
+    Entering edges come from gap scans.  A scan takes every edge whose
+    y[child] - y[parent] is above 1e-12 and sorts them by that gap,
+    largest first, ties by edge index, so its first pick is the edge with
+    the largest gap.  The scan is then walked in order: an edge is taken
+    only if its current gap is still at least its scanned one, else it
+    waits for the next scan.  Each edge taken is one step: it merges two
+    trees, and if the merged tree's flows are not all positive, the usual
+    step back to the feasible boundary drops the edges whose lam reaches
+    zero, and only the trees that split are solved again.  The solve
+    stops when a scan finds no gap above 1e-12.
+
+    Lawson and Hanson's entering column needs only a positive dual
+    gradient, not the largest (Solving Least Squares Problems, 1974,
+    Lemma 23.17): it gets lam > 0 in the next solve, so every step still
+    lowers the dual objective.  A positive gap also puts its endpoints in
+    different trees, so the passive set stays a forest.  The deferral
+    keeps the path close to largest-gap-first.
     """
     n, m = z.size, pi.size
     zl, pl, cl = z.tolist(), pi.tolist(), ci.tolist()
     adj = [[] for _ in range(n)]  # forest edges at each node
     lam = {}  # forest edge -> its dual value, > 0 between steps
     acc = [0.0] * n  # scratch: sum of z - mean below a node
-    size = np.ones(n, dtype=np.intp)  # node count of each node's tree
-    y = z.copy()
+    yl = zl[:]  # mean of each node's tree
+    size = [1] * n  # node count of each node's tree
 
     def solve(start, flow):
-        """(nodes, mean) of start's tree; its edges' lam go into `flow`."""
+        """start's tree, with its mean and size set in `yl` and `size`;
+        its edges' lam go into `flow`."""
         order, via = [start], [-1]  # breadth first; grows while walked
         for v, e_in in zip(order, via):
             for e in adj[v]:
                 if e != e_in:
                     order.append(cl[e] if pl[e] == v else pl[e])
                     via.append(e)
-        mean = math.fsum([zl[v] for v in order]) / len(order)
-        for k in range(len(order) - 1, 0, -1):
-            v, e = order[k], via[k]
+        k = len(order)
+        mean = math.fsum([zl[v] for v in order]) / k
+        for j in range(k - 1, 0, -1):
+            v, e = order[j], via[j]
+            yl[v] = mean
+            size[v] = k
             s = zl[v] - mean + acc[v]
             acc[v] = 0.0
             if cl[e] == v:
@@ -113,52 +130,55 @@ def _forest_lawson_hanson(z, pi, ci):
             else:
                 flow[e] = -s
                 acc[cl[e]] += s
+        yl[start] = mean
+        size[start] = k
         acc[start] = 0.0
-        return order, mean
+        return order
 
     steps = 0
     while m:
+        y = np.array(yl)
         w = y[ci] - y[pi]
-        t = int(w.argmax())
-        if w[t] <= _TOL:
+        scan = np.flatnonzero(w > _TOL)
+        if not scan.size:
             break
-        steps += 1
-        if steps > _STEPS_PER_EDGE * m:
-            raise ConvergenceError(
-                f"isotonic projection: no solution within {steps - 1} steps")
-        p, c = pl[t], cl[t]
-        adj[p].append(t)
-        adj[c].append(t)
-        lam[t] = 0.0
-        flow = {}
-        # started in the larger tree, the sum giving lam_t runs over the
-        # smaller one, so its rounding stays far below lam_t itself
-        trees = [solve(p if size[p] >= size[c] else c, flow)]
-        while True:
-            neg = [e for e, f in flow.items() if f <= 0.0]
-            if not neg:
-                break
-            first = min(neg, key=lambda e: lam[e] / (lam[e] - flow[e]))
-            alpha = lam[first] / (lam[first] - flow[first])
-            for e, f in flow.items():
-                lam[e] += alpha * (f - lam[e])
-            lam[first] = 0.0
-            gone = [e for e in flow if lam[e] <= 0.0]
-            for e in gone:
-                del lam[e], flow[e]
-                adj[pl[e]].remove(e)
-                adj[cl[e]].remove(e)
-            seen = set()
-            for e in gone:
-                for v in (pl[e], cl[e]):
-                    if v not in seen:
-                        trees.append(solve(v, flow))
-                        seen.update(trees[-1][0])
-        lam.update(flow)
-        for nodes, mean in trees:
-            y[nodes] = mean
-            size[nodes] = len(nodes)
-    return y, steps
+        scan = scan[np.argsort(-w[scan], kind="stable")]
+        for t, gap in zip(scan.tolist(), w[scan].tolist()):
+            p, c = pl[t], cl[t]
+            if yl[c] - yl[p] < gap:
+                continue
+            steps += 1
+            if steps > _STEPS_PER_EDGE * m:
+                raise ConvergenceError(
+                    f"isotonic projection: no solution within {steps - 1} steps")
+            adj[p].append(t)
+            adj[c].append(t)
+            lam[t] = 0.0
+            flow = {}
+            # started in the larger tree, the sum giving lam_t runs over the
+            # smaller one, so its rounding stays far below lam_t itself
+            solve(p if size[p] >= size[c] else c, flow)
+            while True:
+                neg = [e for e, f in flow.items() if f <= 0.0]
+                if not neg:
+                    break
+                first = min(neg, key=lambda e: lam[e] / (lam[e] - flow[e]))
+                alpha = lam[first] / (lam[first] - flow[first])
+                for e, f in flow.items():
+                    lam[e] += alpha * (f - lam[e])
+                lam[first] = 0.0
+                gone = [e for e in flow if lam[e] <= 0.0]
+                for e in gone:
+                    del lam[e], flow[e]
+                    adj[pl[e]].remove(e)
+                    adj[cl[e]].remove(e)
+                seen = set()
+                for e in gone:
+                    for v in (pl[e], cl[e]):
+                        if v not in seen:
+                            seen.update(solve(v, flow))
+            lam.update(flow)
+    return np.array(yl), steps
 
 
 def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
@@ -180,6 +200,13 @@ def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
 def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
                            config: TprConfig | None,
                            on_flat: bool = False) -> np.ndarray:
+    """ISO-TPR on every row of a score matrix.
+
+    The bottom-up TPR pass runs once, on the whole matrix; each row of its
+    output is then projected on its own by `isotonic_project`.  With
+    `on_flat` the flat rows are projected instead, and `config` is unused
+    and may be None; otherwise it is required.
+    """
     if config is None and not on_flat:
         raise ValueError("config is required unless on_flat")
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))

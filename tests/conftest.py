@@ -24,6 +24,25 @@ def random_dag(rng, n_nodes, extra_edges=None):
     return build_dag(edges)
 
 
+def deep_narrow_dag(rng, n_nodes):
+    """Deep single-root DAG on levels of 1 to 4 nodes: every node below the
+    root has one parent on the level above, and about half of them one
+    more 2 to 4 levels up."""
+    levels, n = [[0]], 1
+    while n < n_nodes:
+        w = min(int(rng.integers(1, 5)), n_nodes - n)
+        levels.append(list(range(n, n + w)))
+        n += w
+    edges = []
+    for d in range(1, len(levels)):
+        for c in levels[d]:
+            edges.append((int(rng.choice(levels[d - 1])), c))
+            if d >= 2 and rng.random() < 0.5:
+                up = int(rng.integers(2, min(4, d) + 1))
+                edges.append((int(rng.choice(levels[d - up])), c))
+    return build_dag([(f"n{p}", f"n{c}") for p, c in edges])
+
+
 def random_scores(rng, dag, n_rows=1):
     return rng.uniform(0.0, 1.0, size=(n_rows, len(dag)))
 

@@ -16,7 +16,12 @@ from hde import (
 from hde.dag import Dag
 from hde.tpr import _bottom_up_matrix
 
-from conftest import random_dag, random_scores, threshold_config
+from conftest import (
+    deep_narrow_dag,
+    random_dag,
+    random_scores,
+    threshold_config,
+)
 from oracles import iso_oracle
 from per_node_reference import kkt_residual
 
@@ -91,6 +96,23 @@ class TestIsotonicProject:
             assert kkt_residual(dag, z, y) <= 1e-9
             if len(dag) <= 15:
                 assert np.abs(y - iso_oracle(dag, z)).max() <= 1e-6
+
+    def test_deep_narrow_taxonomies_are_certified(self):
+        """The shape of the benchmark's iso-deep rows: long chains of small
+        trees, where the step back drops edges most often."""
+        rng = np.random.default_rng(60)
+        cfg = TprConfig(positive_selection="adaptive")
+        for _ in range(4):
+            dag = deep_narrow_dag(rng, int(rng.integers(100, 401)))
+            lv = compute_levels(dag)
+            flat = rng.uniform(size=(1, len(dag)))
+            for z in (flat[0], flat[0].round(1),
+                      rng.choice([0.0, 0.5, 1.0], size=len(dag)),
+                      _bottom_up_matrix(dag, lv, flat, cfg)[0]):
+                sol = isotonic_project(dag, z)
+                assert kkt_residual(dag, z, sol.values) <= 1e-9
+                assert not check_valid_continuous(dag, sol.values, eps=0.0)
+                assert sol.iterations <= 3 * len(dag.edges)
 
     def test_feasibility(self):
         rng = np.random.default_rng(52)
@@ -185,6 +207,28 @@ class TestIsoTprCorrect:
         assert np.array_equal(sol.values, out)
         htd_obj = ((z - htd_correct(dag, lv, z)) ** 2).sum()
         assert sol.objective <= htd_obj + 1e-12
+
+    def test_projection_scales_to_20000_nodes(self):
+        rng = np.random.default_rng(64)
+        cfg = TprConfig(positive_selection="adaptive")
+        rows = []
+        for n in (10_000, 20_000):
+            dag = random_dag(rng, n, extra_edges=n)
+            lv = compute_levels(dag)
+            z = _bottom_up_matrix(dag, lv, random_scores(rng, dag), cfg)[0]
+            rows.append((dag, z))
+
+        def timed(dag, z):
+            t0 = time.perf_counter()
+            isotonic_project(dag, z)
+            return time.perf_counter() - t0
+
+        # sizes timed in adjacent pairs, as in acceptance criterion 6
+        pairs = [(timed(*rows[0]), timed(*rows[1])) for _ in range(11)]
+        ratio = float(np.median([t20 / t10 for t10, t20 in pairs]))
+        assert ratio < 3.0, f"doubling |V| scaled the projection by {ratio:.2f}"
+        t20 = float(np.median([t for _, t in pairs]))
+        assert t20 < 5.0, f"a 20k-node row took {t20:.2f}s"
 
     def test_on_flat_projects_flat_scores(self, diamond):
         dag, lv = diamond

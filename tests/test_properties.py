@@ -4,7 +4,8 @@ The hubs give nodes many children and descendants, so the level plan's
 padded blocks come in several summation widths.  For HTD, TPR (threshold
 and adaptive selection, the w blend, both descendant modes) and ISO-TPR:
 output in [0, 1] with no violation at eps 0, HTD idempotent, and the
-isotonic projection no farther from its input than HTD's correction of it.
+isotonic projection no farther from its input than HTD's correction of it
+and certified optimal by its KKT residual.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from hde import (
     tpr_correct_matrix,
 )
 from hde.tpr import _bottom_up_matrix
+
+from per_node_reference import kkt_residual
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
                              derandomize=True, database=None)
@@ -85,3 +88,4 @@ def test_iso_is_consistent_and_no_farther_than_htd(taxonomy, seed, pick):
     z = flat if cfg is None else _bottom_up_matrix(dag, lv, flat, cfg)
     htd = htd_correct_matrix(dag, lv, z)
     assert ((iso - z) ** 2).sum() <= ((htd - z) ** 2).sum() + 1e-12
+    assert kkt_residual(dag, z[0], iso[0]) <= 1e-9
