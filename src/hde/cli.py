@@ -58,19 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise _ParamError(message)
 
 
-def _out_stream(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _emit(path, write):
-    fh, close = _out_stream(path)
-    try:
-        write(fh)
-    finally:
-        if close:
-            fh.close()
+    if path in (None, "-"):
+        write(sys.stdout)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
 
 
 def _check_range(option, value, lo, hi):
@@ -108,25 +101,21 @@ def cmd_correct(args) -> int:
     if (args.w is not None) != (args.method == "tpr-w"):
         raise _ParamError("--w is required by, and only used by, "
                           "--method tpr-w")
-    if args.iso_on_flat and args.method != "iso-tpr":
-        raise _ParamError("--iso-on-flat is only used by --method iso-tpr")
     has_source = (args.threshold is not None
                   or args.thresholds_file is not None or args.adaptive)
-    if has_source and (args.method == "htd" or args.iso_on_flat):
+    if has_source and args.method == "htd":
         raise _ParamError("--threshold, --thresholds-file and --adaptive are "
-                          "not used by --method htd or --iso-on-flat")
+                          "not used by --method htd")
     dag = _load_dag(args)
     levels = compute_levels(dag)
     matrix = align_to_dag(read_scores(args.scores), dag)
     if args.method == "htd":
         corrected = htd_correct_matrix(dag, levels, matrix.values)
-    elif args.method == "iso-tpr":
-        config = None if args.iso_on_flat else _build_config(args, dag)
-        corrected = iso_tpr_correct_matrix(dag, levels, matrix.values, config,
-                                           on_flat=args.iso_on_flat)
     else:
-        corrected = tpr_correct_matrix(dag, levels, matrix.values,
-                                       _build_config(args, dag))
+        correct = (iso_tpr_correct_matrix if args.method == "iso-tpr"
+                   else tpr_correct_matrix)
+        corrected = correct(dag, levels, matrix.values,
+                            _build_config(args, dag))
     comments = list(matrix.comments)
     if dag.synthetic_root_flag:
         comments.append(f"synthetic root '{dag.root}' column included")
@@ -252,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="threshold-free positive-child selection")
     sp.add_argument("--w", type=float, default=None,
                     help="flat-score weight for --method tpr-w")
-    sp.add_argument("--iso-on-flat", action="store_true",
-                    help="project the flat scores instead of the bottom-up output")
     sp.add_argument("--digits", type=int, default=None,
                     help="decimal places in the output (default: full precision)")
     sp.set_defaults(func=cmd_correct)
@@ -269,16 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("fit-thresholds", help="fit per-class thresholds")
-    sp.add_argument("--dag", required=True)
-    sp.add_argument("--dedup", action="store_true")
-    sp.add_argument("--scores", required=True, help="training scores TSV")
+    common(sp)
     sp.add_argument("--labels", required=True, help="training 0/1 labels TSV")
     sp.add_argument("--strategy", required=True,
                     choices=("fscore", "percentile"))
     sp.add_argument("--k", type=float, default=None, help="percentile in [0, 100]")
     sp.add_argument("--grid", default=None,
                     help="candidate grid 'start:stop:step' for --strategy fscore")
-    sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(func=cmd_fit_thresholds)
 
     sp = sub.add_parser("eval", help="per-class precision/recall/F at thresholds")

@@ -182,36 +182,24 @@ def _forest_lawson_hanson(z, pi, ci):
 
 
 def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
-                    config: TprConfig | None,
-                    on_flat: bool = False) -> np.ndarray:
-    """Bottom-up TPR pass, then isotonic projection of the result.
-
-    With `on_flat` the projection input is the flat row itself instead of
-    the bottom-up output (the two readings of the algorithm's final step);
-    `config` is then unused and may be None; otherwise it is required.
-    """
+                    config: TprConfig) -> np.ndarray:
+    """Bottom-up TPR pass, then isotonic projection of the result."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.ndim != 1:
         raise AlignmentError("expected a 1-D score row")
-    return iso_tpr_correct_matrix(dag, levels, flat[None, :], config,
-                                  on_flat=on_flat)[0]
+    return iso_tpr_correct_matrix(dag, levels, flat[None, :], config)[0]
 
 
 def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
-                           config: TprConfig | None,
-                           on_flat: bool = False) -> np.ndarray:
+                           config: TprConfig) -> np.ndarray:
     """ISO-TPR on every row of a score matrix.
 
     The bottom-up TPR pass runs once, on the whole matrix; each row of its
-    output is then projected on its own by `isotonic_project`.  With
-    `on_flat` the flat rows are projected instead, and `config` is unused
-    and may be None; otherwise it is required.
+    output is then projected on its own by `isotonic_project`.
     """
-    if config is None and not on_flat:
-        raise ValueError("config is required unless on_flat")
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
-    base = flat if on_flat else _bottom_up_matrix(dag, levels, flat, config)
+    base = _bottom_up_matrix(dag, levels, flat, config)
     out = np.empty_like(base)
     for r in range(base.shape[0]):
         out[r] = isotonic_project(dag, base[r]).values

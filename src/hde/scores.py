@@ -76,16 +76,13 @@ def check_valid_discrete(dag: Dag, labeling) -> bool:
     """True iff every labeled class has all its parents labeled too.
 
     `labeling` is a set (or iterable) of class ids.  Parent closure implies
-    full ancestor closure by induction over the hierarchy.
+    full ancestor closure by induction over the hierarchy.  The check is
+    the continuous rule applied to the labeling's 0/1 indicator row.
     """
-    chosen = set(labeling)
-    for n in chosen:
-        dag.index(n)  # raises UnknownNodeError
-    for n in chosen:
-        for p in dag.parents(n):
-            if p not in chosen:
-                return False
-    return True
+    x = np.zeros((1, len(dag)))
+    for n in labeling:
+        x[0, dag.index(n)] = 1.0  # raises UnknownNodeError
+    return not _violation_mask(dag, x).any()
 
 
 def check_valid_continuous(dag: Dag, row, eps: float = 0.0) -> ViolationReport:

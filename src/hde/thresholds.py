@@ -26,6 +26,7 @@ from .scores import (
     ScoreMatrix,
     _check_rows_in_range,
     _node_columns,
+    _parse_cells,
     _violation_mask,
 )
 
@@ -221,23 +222,19 @@ def _check_pair(scores: ScoreMatrix, labels: ScoreMatrix):
 
 
 def read_thresholds(path) -> ThresholdVector:
-    """Read a `class<TAB>threshold` TSV."""
-    ids, vals, linenos = [], [], []
+    """Read a `class<TAB>threshold` TSV, its cells parsed as a scores
+    file's are: an out-of-range value is reported ahead of a parse error
+    on a later line."""
+    linenos, lines = [], []
     for lineno, line in _records(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError("expected 'class<TAB>threshold'", line=lineno)
-        ids.append(parts[0])
         linenos.append(lineno)
-        try:
-            vals.append(float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    if not ids:
+        lines.append(line)
+    if not lines:
         raise ParseError(f"no thresholds found in {path}")
-    values = np.array(vals)
-    _check_rows_in_range(values[:, None], linenos)
-    return ThresholdVector(ids, values, "file")
+    values = _parse_cells(lines, linenos, 1)
+    _check_rows_in_range(values, linenos)
+    ids = [line.split("\t", 1)[0] for line in lines]
+    return ThresholdVector(ids, values.ravel(), "file")
 
 
 def write_thresholds_stream(tv: ThresholdVector, fh) -> None:

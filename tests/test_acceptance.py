@@ -78,17 +78,21 @@ def test_criterion_2_degenerate_equivalences():
         lv = compute_levels(dag)
         y = rng.uniform(size=len(dag))
         htd = htd_correct(dag, lv, y)
+        ones = threshold_config(dag, 1.0)
         # thresholds = 1.0 => TPR == HTD, exactly
-        assert np.array_equal(tpr_correct(dag, lv, y,
-                                          threshold_config(dag, 1.0)), htd)
+        assert np.array_equal(tpr_correct(dag, lv, y, ones), htd)
+        # thresholds = 1.0 => ISO-TPR == projection of the flat scores
+        assert np.array_equal(iso_tpr_correct(dag, lv, y, ones),
+                              isotonic_project(dag, y).values)
         # w = 1 => TPR-w == HTD, exactly
         assert np.array_equal(
             tpr_correct_matrix(dag, lv, y[None, :],
                                threshold_config(dag, 0.4, w=1.0))[0], htd)
         # valid input => HTD identity; HTD idempotent
         assert np.array_equal(htd_correct(dag, lv, htd), htd)
-    _ok(2, "thresholds=1 => TPR==HTD; w=1 => TPR-w==HTD; HTD identity on "
-           "valid input and idempotent (200 instances each, exact)")
+    _ok(2, "thresholds=1 => TPR==HTD and ISO-TPR==projection of flat; "
+           "w=1 => TPR-w==HTD; HTD identity on valid input and idempotent "
+           "(200 instances each, exact)")
 
 
 def test_criterion_3_level_oracle():

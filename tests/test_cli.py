@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -21,7 +22,8 @@ from hde import (
     write_edge_list,
     write_scores,
 )
-from hde.cli import MAX_GRID_STEPS, _ParamError, _parse_grid, main
+from hde.cli import (MAX_GRID_STEPS, _ParamError, _parse_grid, build_parser,
+                     main)
 
 DIAMOND = "r\ta\nr\tb\na\tc\nb\tc\n"
 SKIP = "r\ta\na\tc\nr\tc\n"
@@ -163,15 +165,7 @@ class TestCorrect:
         assert code == 3
         assert capsys.readouterr().err.startswith("E_PARAM:")
 
-    def test_iso_on_flat_without_iso_tpr_is_param_error(self, fx, capsys):
-        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
-                   fx / "scores.tsv", "--method", "tpr", "--threshold", "0.5",
-                   "--iso-on-flat")
-        assert code == 3
-        assert capsys.readouterr().err.startswith("E_PARAM:")
-
-    @pytest.mark.parametrize("method", [["htd"], ["iso-tpr", "--iso-on-flat"]],
-                             ids=["htd", "iso-on-flat"])
+    @pytest.mark.parametrize("method", [["htd"]], ids=["htd"])
     @pytest.mark.parametrize("source", [["--threshold", "0.5"],
                                         ["--thresholds-file", "thr.tsv"],
                                         ["--adaptive"]],
@@ -189,7 +183,7 @@ class TestCorrect:
         # no step allowed: the first violated edge exhausts the solver
         monkeypatch.setattr("hde.iso._STEPS_PER_EDGE", 0)
         code = run("correct", "--dag", fx / "dag.tsv", "--scores",
-                   fx / "scores.tsv", "--method", "iso-tpr", "--iso-on-flat")
+                   fx / "scores.tsv", "--method", "iso-tpr", "--threshold", "1")
         assert code == 4
         lines = capsys.readouterr().err.splitlines()
         assert [l.startswith("E_CONVERGENCE:") for l in lines] == [True]
@@ -214,11 +208,12 @@ class TestCorrect:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["E_IO: duplicate class ids"]
 
-    def test_iso_on_flat_needs_no_threshold_source(self, fx):
+    def test_iso_tpr_threshold_one_projects_flat_scores(self, fx):
+        # no child score exceeds 1: the bottom-up pass keeps the flat row
         out = fx / "out.tsv"
         assert run("correct", "--dag", fx / "dag.tsv", "--scores",
-                   fx / "scores.tsv", "--method", "iso-tpr", "--iso-on-flat",
-                   "-o", out) == 0
+                   fx / "scores.tsv", "--method", "iso-tpr", "--threshold",
+                   "1", "-o", out) == 0
         dag = build_dag([tuple(l.split("\t")) for l in DIAMOND.splitlines()])
         expected = isotonic_project(dag, [0.9, 0.5, 0.7, 0.6]).values
         assert read_scores(out).values[0].tolist() == expected.tolist()
@@ -238,10 +233,12 @@ class TestUsageErrors:
          "--labels", "scores.tsv", "--threshold", "0.9",
          "--thresholds-file", "thr.tsv"],
         ["fit-thresholds", "--dag", "dag.tsv", "--scores", "scores.tsv",
-         "--labels", "labels.tsv", "--strategy", "global"]],
+         "--labels", "labels.tsv", "--strategy", "global"],
+        ["correct", "--dag", "dag.tsv", "--scores", "scores.tsv",
+         "--method", "iso-tpr", "--iso-on-flat"]],
         ids=["no-command", "no-dag", "bad-method", "bad-threshold",
              "eval-no-threshold", "eval-two-thresholds",
-             "fit-strategy-global"])
+             "fit-strategy-global", "iso-on-flat"])
     def test_usage_error_is_one_param_line(self, fx, capsys, argv):
         argv = [fx / a if a.endswith(".tsv") else a for a in argv]
         assert run(*argv) == 3
@@ -254,6 +251,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 0
+
+
+COMMON = {"-h", "--help", "--dag", "--dedup", "-o", "--output"}
+KNOBS = {
+    "": {"-h", "--help", "--version"},
+    "correct": COMMON | {"--scores", "--method", "--threshold",
+                        "--thresholds-file", "--adaptive", "--w", "--digits"},
+    "levels": COMMON,
+    "validate": COMMON | {"--scores", "--eps"},
+    "fit-thresholds": COMMON | {"--scores", "--labels", "--strategy", "--k",
+                               "--grid"},
+    "eval": COMMON | {"--scores", "--labels", "--threshold",
+                     "--thresholds-file"},
+}
+
+
+def test_knob_inventory():
+    """Every option of every subcommand: adding or removing one is an edit
+    to KNOBS."""
+    def options(parser):
+        return {s for a in parser._actions for s in a.option_strings}
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {"": options(parser)}
+    found.update((name, options(sp)) for name, sp in sub.choices.items())
+    assert found == KNOBS
 
 
 class TestLevels:

@@ -10,6 +10,7 @@ from hde import (
     compute_levels,
     htd_correct,
     iso_tpr_correct,
+    iso_tpr_correct_matrix,
     isotonic_project,
 )
 
@@ -230,18 +231,18 @@ class TestIsoTprCorrect:
         t20 = float(np.median([t for _, t in pairs]))
         assert t20 < 5.0, f"a 20k-node row took {t20:.2f}s"
 
-    def test_on_flat_projects_flat_scores(self, diamond):
-        dag, lv = diamond
-        y = np.array([0.9, 0.5, 0.7, 0.6])
-        out = iso_tpr_correct(dag, lv, y, threshold_config(dag, 0.5),
-                              on_flat=True)
-        expected = isotonic_project(dag, y).values
-        assert out == pytest.approx(expected, abs=1e-12)
-
-    def test_config_none_requires_on_flat(self, diamond):
-        dag, lv = diamond
-        y = np.array([0.9, 0.5, 0.7, 0.6])
-        with pytest.raises(ValueError, match="config is required unless on_flat"):
-            iso_tpr_correct(dag, lv, y, None)
-        assert np.array_equal(iso_tpr_correct(dag, lv, y, None, on_flat=True),
-                              isotonic_project(dag, y).values)
+    def test_unit_thresholds_project_the_flat_scores(self):
+        """No child beats a threshold of 1, so the bottom-up pass leaves the
+        flat rows as they are and ISO-TPR is the projection of the flat
+        scores, byte for byte."""
+        rng = np.random.default_rng(64)
+        for _ in range(100):
+            dag = random_dag(rng, int(rng.integers(2, 40)))
+            lv = compute_levels(dag)
+            flat = random_scores(rng, dag, n_rows=3)
+            flat[1] = np.round(flat[1], 1)  # tied scores
+            out = iso_tpr_correct_matrix(dag, lv, flat,
+                                         threshold_config(dag, 1.0))
+            expected = np.array([isotonic_project(dag, r).values
+                                 for r in flat])
+            assert out.tobytes() == expected.tobytes()

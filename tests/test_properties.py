@@ -77,15 +77,18 @@ def test_htd_and_tpr_are_consistent(taxonomy, rows, seed):
 @given(taxonomy=wide_taxonomies(), seed=st.integers(0, 2 ** 32 - 1),
        pick=st.integers(0, 12))
 def test_iso_is_consistent_and_no_farther_than_htd(taxonomy, seed, pick):
-    """pick 12 projects the flat row, any other the bottom-up output of
-    one of the configs."""
+    """pick 12 projects the flat row (thresholds of 1 leave the bottom-up
+    pass at it), any other the bottom-up output of one of the configs."""
     dag, lv = taxonomy
     rng = np.random.default_rng(seed)
     flat = rng.uniform(size=(1, len(dag)))
-    cfg = None if pick == 12 else list(configs(len(dag), rng))[pick]
-    iso = iso_tpr_correct_matrix(dag, lv, flat, cfg, on_flat=cfg is None)
+    if pick == 12:
+        cfg, z = TprConfig(thresholds=np.ones(len(dag))), flat
+    else:
+        cfg = list(configs(len(dag), rng))[pick]
+        z = _bottom_up_matrix(dag, lv, flat, cfg)
+    iso = iso_tpr_correct_matrix(dag, lv, flat, cfg)
     consistent(dag, iso)
-    z = flat if cfg is None else _bottom_up_matrix(dag, lv, flat, cfg)
     htd = htd_correct_matrix(dag, lv, z)
     assert ((iso - z) ** 2).sum() <= ((htd - z) ** 2).sum() + 1e-12
     assert kkt_residual(dag, z[0], iso[0]) <= 1e-9

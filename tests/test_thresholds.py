@@ -8,6 +8,7 @@ from hde import (
     AlignmentError,
     EmptyGridError,
     NoPositivesWarning,
+    ParseError,
     RangeError,
     ScoreMatrix,
     ThresholdVector,
@@ -274,6 +275,24 @@ class TestThresholdIO:
                         encoding="utf-8")
         with pytest.raises(RangeError, match="^" + re.escape(
                 f"line 4: value {float(value)!r} outside [0, 1]") + "$"):
+            read_thresholds(path)
+
+    @pytest.mark.parametrize("line3", ["b\tabc", "b\t0.5\t0.5"],
+                             ids=["unparseable", "column-count"])
+    def test_range_error_comes_before_a_later_parse_error(self, tmp_path,
+                                                          line3):
+        # the rule of a scores file: cells are read in file order
+        path = tmp_path / "t.tsv"
+        path.write_text(f"r\t1.0\na\t1.5\n{line3}\n", encoding="utf-8")
+        with pytest.raises(RangeError, match="^line 2: value 1.5 outside"):
+            read_thresholds(path)
+
+    @pytest.mark.parametrize("body", ["", "# strategy: file\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_empty_file_is_parse_error(self, tmp_path, body):
+        path = tmp_path / "t.tsv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ParseError, match="no thresholds found"):
             read_thresholds(path)
 
     def test_align_to_dag_order(self):
