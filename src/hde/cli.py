@@ -3,13 +3,15 @@
 Subcommands: correct, levels, validate, fit-thresholds, eval.
 Exit codes: 0 success/valid, 1 validation failure, 2 I/O or parse error,
 3 parameter error, 4 convergence error.  Errors go to stderr as one
-machine-parsable line (`E_IO: ...`, `E_PARAM: ...`, `E_CONVERGENCE: ...`).
+machine-parsable line (`E_IO: ...`, `E_PARAM: ...`, `E_CONVERGENCE: ...`),
+a warning as one `W_...` line (`W_NO_POSITIVES: ...` from a percentile fit).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .errors import (
     ConvergenceError,
     EmptyGridError,
     HdeError,
+    NoPositivesWarning,
     WeightRangeError,
 )
 from .htd import htd_correct_matrix
@@ -74,7 +77,7 @@ def _check_range(option, value, lo, hi):
 
 def _load_dag(args):
     edges = read_edge_list(args.dag)
-    return build_dag(edges, dedup=getattr(args, "dedup", False))
+    return build_dag(edges, dedup=args.dedup)
 
 
 def _build_config(args, dag):
@@ -163,7 +166,14 @@ def cmd_fit_thresholds(args) -> int:
     if args.strategy == "fscore":
         tv = fit_fscore(scores, labels, grid)
     else:
-        tv = fit_percentile(scores, labels, args.k)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NoPositivesWarning)
+            tv = fit_percentile(scores, labels, args.k)
+        for w in caught:
+            if w.category is NoPositivesWarning:
+                print(f"W_NO_POSITIVES: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     _emit(args.output, lambda fh: write_thresholds_stream(tv, fh))
     return 0
 

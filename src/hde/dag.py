@@ -9,7 +9,6 @@ ancestor of a node sits on a strictly smaller level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -30,15 +29,16 @@ SYNTHETIC_ROOT = "__ROOT__"
 class Dag:
     """Immutable rooted DAG over string class identifiers.
 
-    Do not instantiate directly; use :func:`build_dag`, which validates the
-    edge set and adds a synthetic root when the input has several roots.
-    Node order is the first-appearance order in the (possibly augmented)
-    edge list and is used everywhere determinism matters.
+    Build it with :func:`build_dag`, which validates the edge set and adds
+    a synthetic root when the input has several roots.  Node order is the
+    first-appearance order in the (possibly augmented) edge list and is
+    used everywhere determinism matters.
 
     The core is integer: each edge's parent and child node indices, each
     node's child indices in edge order, and one first-in first-out Kahn
     pass over them that gives the topological order and every node's
-    max-distance level at once.  The name-keyed relatives and the names of
+    max-distance level at once.  A cyclic edge set, built directly or not,
+    raises CycleError there.  The name-keyed relatives and the names of
     the topological order are built on first use.
     """
 
@@ -79,8 +79,8 @@ class Dag:
         # each node's children in edge order: kid_ix[kid_at[v]:kid_at[v + 1]]
         self._kid_ix, self._kid_at = kid_ix, kid_at = _csr(pi, ci, n)
         # Kahn's algorithm, first in first out; a node is appended once its
-        # last parent is done, so its level is final by then.  On a cyclic
-        # graph the nodes on or below a cycle are left out.
+        # last parent is done, so its level is final by then.  The nodes on
+        # or below a cycle are left out.
         indeg = np.bincount(ci, minlength=n)
         order = np.flatnonzero(indeg == 0).tolist()
         indeg = indeg.tolist()
@@ -98,6 +98,8 @@ class Dag:
         self._level.flags.writeable = False
         self._order = None  # names of the order, built on first use
         self._relatives = None  # name tuples per node, built on first use
+        if len(order) < n:
+            raise CycleError(_find_cycle(self))
 
     def __len__(self):
         return len(self.nodes)
@@ -142,11 +144,8 @@ class Dag:
         return self._relatives
 
     def topological_order(self):
-        """Nodes in a topological order (parents before children).
-
-        Kept from the constructor's Kahn pass.  On a cyclic graph the nodes
-        on or below a cycle are missing from the result.
-        """
+        """Every node once, in a topological order (parents before
+        children), kept from the constructor's Kahn pass."""
         if self._order is None:
             self._order = tuple(map(self.nodes.__getitem__, self._order_ix))
         return self._order
@@ -182,47 +181,44 @@ def edge_index_arrays(dag: Dag):
     return dag._pi, dag._ci
 
 
-@dataclass(frozen=True)
 class LevelMap:
-    """Max distance from the root for every node, grouped into levels.
+    """Max-distance levels of one Dag and the plan compiled from them.
 
-    `dist[n]` is the length (edge count) of the longest root-to-`n` path;
-    `levels[d]` lists the nodes at distance `d` in node order.  Keeps a
-    reference to the Dag it was computed from so consumers can assert
-    provenance instead of recomputing.
-    """
+    Built by `compute_levels(dag)`, the one object every correction pass of
+    that Dag shares.  It keeps the Dag and `max_level`; everything else is
+    read off the Dag's Kahn levels and index arrays on first use and kept.
 
-    dag: Dag
-    dist: dict = field(compare=False)
-    levels: dict = field(compare=False)
-    max_level: int = 0
-
-    @cached_property
-    def plan(self) -> LevelPlan:
-        """The levels compiled into index arrays; built on first use."""
-        return LevelPlan(self.dag)
-
-
-class LevelPlan:
-    """Integer index arrays of every level, shared by all correction passes.
-
-    Built from the Dag's edge arrays and max-distance levels.
-    `down` holds, for levels 1..max_level, (nodes, parents, offsets): the
-    level's node indices, their parents' indices concatenated in node order,
-    and where each node's run of parents starts (`reduceat` offsets).
-    `up` holds blocks (nodes (nb,), children (nb, w), None), deepest level
-    first: the nodes of one level with the same summation width w, children
-    in edge order, each row padded with the sentinel index n (see
-    `_width_blocks`).  Width groups add every per-node sum in the same
-    order, and so with the same rounding, as a loop over single nodes.
+    By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
+    path and `levels[d]` lists the nodes at distance `d` in node order.
+    The plan is integer: `down` holds, for levels 1..max_level, (nodes,
+    parents, offsets): the level's node indices, their parents' indices
+    concatenated in node order, and where each node's run of parents starts
+    (`reduceat` offsets).  `up` holds blocks (nodes (nb,), children (nb, w),
+    None), deepest level first: the nodes of one level with the same
+    summation width w, children in edge order, each row padded with the
+    sentinel index n (see `_width_blocks`).  Width groups add every per-node
+    sum in the same order, and so with the same rounding, as a loop over
+    single nodes.
     """
 
     def __init__(self, dag: Dag):
-        self._dag = dag
-        n = len(dag)
-        level = dag._level
-        max_level = int(level.max())
-        pi, ci = edge_index_arrays(dag)
+        self.dag = dag
+        self.max_level = int(dag._level.max())
+
+    @cached_property
+    def dist(self) -> dict:
+        return dict(zip(self.dag.nodes, self.dag._level.tolist()))
+
+    @cached_property
+    def levels(self) -> dict:
+        dag = self.dag
+        return dict(enumerate(_named_groups(
+            dag.nodes, dag._level, np.arange(len(dag)), self.max_level + 1)))
+
+    @cached_property
+    def down(self) -> list:
+        level, pi, ci = self.dag._level, self.dag._pi, self.dag._ci
+        max_level = self.max_level
         # nodes by (level, index); edges by (child level, child, edge order)
         nodes = np.argsort(level, kind="stable")
         by_child = np.lexsort((ci, level[ci]))
@@ -230,18 +226,23 @@ class LevelPlan:
         node_at = np.searchsorted(level[nodes], np.arange(max_level + 2))
         edge_at = np.searchsorted(level[ci[by_child]],
                                   np.arange(max_level + 2))
-        indeg = np.bincount(ci, minlength=n)
-        self.down = []
+        indeg = np.bincount(ci, minlength=len(level))
+        down = []
         for d in range(1, max_level + 1):
             ni = nodes[node_at[d]:node_at[d + 1]]
-            self.down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
-                              np.cumsum(indeg[ni]) - indeg[ni]))
+            down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
+                         np.cumsum(indeg[ni]) - indeg[ni]))
+        return down
+
+    @cached_property
+    def up(self) -> list:
+        level, pi, ci = self.dag._level, self.dag._pi, self.dag._ci
         inner = level[pi] > 0  # the root is never blended
-        self.up = _width_blocks(level, pi[inner], ci[inner], None)
+        return _width_blocks(level, pi[inner], ci[inner], None)
 
     @cached_property
     def descendants(self) -> list:
-        """`up` with descendants instead of children, built on first use.
+        """`up` with descendants instead of children.
 
         Each block is (nodes (nb,), descendants (nb, w), weights (nb, w)):
         descendants in node order, padded like `up` with weight 0, and
@@ -249,7 +250,7 @@ class LevelPlan:
         where dist is the longest node-to-descendant path and d_max the
         largest such dist of the node.
         """
-        dag = self._dag
+        dag = self.dag
         kid_ix, kid_at = dag._kid_ix, dag._kid_at
         # longest path from each node to each of its descendants, merged
         # from the children's maps in one sweep in reverse topological
@@ -398,7 +399,7 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     nodes = list(index)
     roots = np.flatnonzero(np.bincount(ci, minlength=n) == 0).tolist()
 
-    # no root at all: Kahn's order below comes out empty, so it is a cycle
+    # no root at all: the Dag's Kahn order comes out empty, so it is a cycle
     root = nodes[roots[0]] if roots else None
     synthetic = SYNTHETIC_ROOT in index
     if len(roots) > 1:
@@ -418,10 +419,7 @@ def build_dag(edges, dedup: bool = False) -> Dag:
             f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root")
     # otherwise a lone "__ROOT__" root is the round-trip of an augmented graph
 
-    dag = Dag._from_index(nodes, edges, root, synthetic, index, pi, ci)
-    if len(dag._order_ix) < len(nodes):
-        raise CycleError(_find_cycle(dag))
-    return dag
+    return Dag._from_index(nodes, edges, root, synthetic, index, pi, ci)
 
 
 def _find_cycle(dag):
@@ -449,16 +447,9 @@ def compute_levels(dag: Dag) -> LevelMap:
     The Dag's Kahn pass sets dist(root) = 0 and dist(n) = 1 + max over
     parents of dist(parent), each node once its last parent is done: the
     same answer as Bellman-Ford on negated edge weights, in linear instead
-    of quadratic time.  This wraps those levels, keyed by name.
+    of quadratic time.  The LevelMap reads them from there.
     """
-    if len(dag._order_ix) < len(dag):
-        raise CycleError(_find_cycle(dag))
-    level = dag._level
-    by_level = _named_groups(dag.nodes, level, np.arange(len(dag)),
-                             int(level.max()) + 1)
-    return LevelMap(dag=dag, dist=dict(zip(dag.nodes, level.tolist())),
-                    levels=dict(enumerate(by_level)),
-                    max_level=len(by_level) - 1)
+    return LevelMap(dag)
 
 
 def _records(path, comments=None):

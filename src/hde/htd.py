@@ -27,12 +27,17 @@ def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarr
     """
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
-    return levels.plan.topdown(flat)
+    return levels.topdown(flat)
+
+
+def _row(correct_matrix, dag: Dag, levels: LevelMap, flat, *config):
+    """`correct_matrix` applied to one 1-D score row aligned with dag.nodes."""
+    flat = np.asarray(flat, dtype=np.float64)
+    if flat.ndim != 1:
+        raise AlignmentError("expected a 1-D score row")
+    return correct_matrix(dag, levels, flat[None, :], *config)[0]
 
 
 def htd_correct(dag: Dag, levels: LevelMap, flat) -> np.ndarray:
     """Correct a single score row (1-D array aligned with dag.nodes)."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1:
-        raise AlignmentError("htd_correct expects a 1-D score row")
-    return htd_correct_matrix(dag, levels, flat[None, :])[0]
+    return _row(htd_correct_matrix, dag, levels, flat)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dag import Dag, LevelMap, edge_index_arrays
 from .errors import AlignmentError, ConvergenceError
-from .htd import _check_aligned
+from .htd import _check_aligned, _row
 from .tpr import TprConfig, _bottom_up_matrix
 
 
@@ -184,10 +184,7 @@ def _forest_lawson_hanson(z, pi, ci):
 def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
                     config: TprConfig) -> np.ndarray:
     """Bottom-up TPR pass, then isotonic projection of the result."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1:
-        raise AlignmentError("expected a 1-D score row")
-    return iso_tpr_correct_matrix(dag, levels, flat[None, :], config)[0]
+    return _row(iso_tpr_correct_matrix, dag, levels, flat, config)
 
 
 def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dag import Dag, LevelMap
 from .errors import AlignmentError, WeightRangeError, check_unit_interval
-from .htd import _check_aligned
+from .htd import _check_aligned, _row
 
 POSITIVE_SELECTIONS = ("threshold", "adaptive")
 DESCENDANT_MODES = ("children", "descendants-constant", "descendants-linear")
@@ -73,8 +73,8 @@ def _bottom_up_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
     """
     cfg = config
     _check_thresholds(dag, cfg)
-    plan = levels.plan
-    up = plan.up if cfg.descendant_mode == "children" else plan.descendants
+    up = (levels.up if cfg.descendant_mode == "children"
+          else levels.descendants)
     linear = cfg.descendant_mode == "descendants-linear"
     t = None if cfg.thresholds is None else np.append(cfg.thresholds, 0.0)
     n = flat.shape[1]
@@ -111,12 +111,9 @@ def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
     """
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     _check_aligned(dag, levels, flat)
-    return levels.plan.topdown(_bottom_up_matrix(dag, levels, flat, config))
+    return levels.topdown(_bottom_up_matrix(dag, levels, flat, config))
 
 
 def tpr_correct(dag: Dag, levels: LevelMap, flat, config: TprConfig) -> np.ndarray:
     """Full TPR correction (any variant, per `config`) of one score row."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1:
-        raise AlignmentError("expected a 1-D score row")
-    return tpr_correct_matrix(dag, levels, flat[None, :], config)[0]
+    return _row(tpr_correct_matrix, dag, levels, flat, config)

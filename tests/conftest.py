@@ -24,6 +24,19 @@ def random_dag(rng, n_nodes, extra_edges=None):
     return build_dag(edges)
 
 
+def shuffle_parent_runs(rng, dag):
+    """(rebuilt Dag, position in it of each node of `dag`): `dag` rebuilt
+    from its edges grouped by parent, each parent's run in edge order and
+    the runs in a random parent order.  The nodes change order within their
+    levels; every node keeps its children in order."""
+    runs = {}
+    for p, c in dag.edges:
+        runs.setdefault(p, []).append((p, c))
+    runs = list(runs.values())
+    rebuilt = build_dag([e for k in rng.permutation(len(runs)) for e in runs[k]])
+    return rebuilt, [rebuilt.index(n) for n in dag.nodes]
+
+
 def deep_narrow_dag(rng, n_nodes):
     """Deep single-root DAG on levels of 1 to 4 nodes: every node below the
     root has one parent on the level above, and about half of them one

@@ -18,8 +18,9 @@ require `read_scores` and `fit_fscore` to match them bit for bit.
 loop over the edges, child and parent dicts of tuples, Kahn's algorithm and
 the longest-path levels on names.  `plan_by_name` compiles its levels into
 the level plan's arrays, walking descendants through those dicts.
-`test_dag.py` requires `build_dag`, `compute_levels` and `LevelPlan` to
-give what they give.
+`test_dag.py` and `test_plan.py` require `build_dag` and the `LevelMap`
+of `compute_levels` (its name views and plan arrays) to give what they
+give.
 """
 
 from types import SimpleNamespace

@@ -386,6 +386,22 @@ class TestFitThresholdsAndEval:
         tv = read_thresholds(out)
         assert set(tv.class_ids) == {"r", "a", "b"}
 
+    def test_class_without_positives_warns_one_line(self, fx):
+        """In a fresh interpreter with Python's default warning filters:
+        one W_NO_POSITIVES line per class, no path or source line."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "hde.cli", "fit-thresholds", "--dag",
+             "dag.tsv", "--scores", "scores.tsv", "--labels", "labels.tsv",
+             "--strategy", "percentile", "--k", "30"],
+            cwd=fx, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "".join(
+            f"W_NO_POSITIVES: class {c!r} has no positive training examples; "
+            "threshold falls back to 0.5\n" for c in "ac")
+        assert proc.stdout.splitlines()[-4:] == [
+            "r\t0.9", "a\t0.5", "b\t0.7", "c\t0.5"]
+
     @pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:0.1", "nan:1:0.1"])
     def test_non_finite_grid_is_param_error(self, tmp_path, capsys, grid):
         self.make_training(tmp_path)

@@ -12,10 +12,13 @@ from hde import (
     DuplicateEdgeError,
     EmptyGraphError,
     SelfLoopError,
+    TprConfig,
     UnknownNodeError,
     build_dag,
     compute_levels,
+    htd_correct_matrix,
     read_edge_list,
+    tpr_correct_matrix,
     write_edge_list,
 )
 
@@ -298,11 +301,20 @@ def test_build_matches_name_dict_build(case):
 
 
 def test_name_dicts_not_built_by_setup():
+    """Set-up and every pass read the Dag's index arrays only: the
+    name-keyed relatives, order and levels are built on first use, once."""
     rng = np.random.default_rng(16)
     dag = build_dag(random_dag(rng, 40).edges)
-    plan = compute_levels(dag).plan
-    plan.descendants
+    lv = compute_levels(dag)
+    y = rng.uniform(size=(3, len(dag)))
+    htd_correct_matrix(dag, lv, y)
+    tpr_correct_matrix(dag, lv, y, TprConfig(thresholds=np.full(len(dag), 0.5)))
+    tpr_correct_matrix(dag, lv, y, TprConfig(
+        positive_selection="adaptive", descendant_mode="descendants-linear"))
     assert dag._relatives is None and dag._order is None
+    assert not {"dist", "levels"} & set(vars(lv))
+    dist, levels = lv.dist, lv.levels
+    assert lv.dist is dist and lv.levels is levels
 
 
 class TestTopologicalOrder:
@@ -319,14 +331,24 @@ class TestTopologicalOrder:
               database=None)
     @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                           min_size=1, max_size=16, unique=True))
-    def test_cycle_leaves_out_nodes_on_or_below_it(self, pairs):
+    def test_direct_dag_rejects_a_cycle_or_orders_every_node(self, pairs):
         names = [f"n{i}" for i in range(8)]
-        dag = Dag(names, [(names[p], names[c]) for p, c in pairs], "n0",
-                  False)
-        on_cycle = {n for n in names if n in descendants(dag, n)}
-        below = {m for n in on_cycle for m in descendants(dag, n)}
+        edges = [(names[p], names[c]) for p, c in pairs]
+        # reach[i, j]: a path of one or more edges leads from i to j
+        reach = np.zeros((8, 8), dtype=bool)
+        for p, c in pairs:
+            reach[p, c] = True
+        for k in range(8):
+            reach |= reach[:, [k]] & reach[[k], :]
+        if reach.diagonal().any():
+            with pytest.raises(CycleError) as err:
+                Dag(names, edges, "n0", False)
+            cyc = err.value.cycle
+            assert cyc[0] == cyc[-1] and len(cyc) >= 2
+            assert all(e in edges for e in zip(cyc, cyc[1:]))
+            return
+        dag = Dag(names, edges, "n0", False)
         order = dag.topological_order()
-        assert len(set(order)) == len(order)
-        assert set(names) - set(order) == on_cycle | below
+        assert sorted(order) == sorted(names)
         at = {n: k for k, n in enumerate(order)}
-        assert all(at[p] < at[c] for p, c in dag.edges if c in at)
+        assert all(at[p] < at[c] for p, c in dag.edges)

@@ -9,9 +9,12 @@ from hde import (
     count_violations,
     htd_correct,
     htd_correct_matrix,
+    iso_tpr_correct,
+    tpr_correct,
 )
 
-from conftest import random_dag, random_scores
+from conftest import (random_dag, random_scores, shuffle_parent_runs,
+                      threshold_config)
 
 
 def test_diamond_worked_example(diamond):
@@ -81,17 +84,23 @@ def test_matrix_equals_per_row():
 
 
 def test_level_order_independence_within_level():
-    # nodes in one level share no edges, so any within-level order agrees
+    # nodes in one level share no edges, so any within-level order agrees;
+    # the rebuild with shuffled parent runs reorders the levels
     rng = np.random.default_rng(26)
-    for _ in range(20):
-        dag = random_dag(rng, 15)
-        lv = compute_levels(dag)
-        y = random_scores(rng, dag)[0]
-        expected = htd_correct(dag, lv, y)
-        shuffled = {d: tuple(rng.permutation(ns)) for d, ns in lv.levels.items()}
-        lv_shuffled = type(lv)(dag=dag, dist=lv.dist, levels=shuffled,
-                               max_level=lv.max_level)
-        assert np.array_equal(htd_correct(dag, lv_shuffled, y), expected)
+    reordered = 0
+    for _ in range(50):
+        n = int(rng.integers(2, 60))
+        dag = random_dag(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
+        dag2, at = shuffle_parent_runs(rng, dag)
+        lv, lv2 = compute_levels(dag), compute_levels(dag2)
+        reordered += lv.levels != lv2.levels
+        for rows in (1, 7):
+            y = random_scores(rng, dag, rows)
+            y2 = np.empty_like(y)
+            y2[:, at] = y
+            assert np.array_equal(htd_correct_matrix(dag2, lv2, y2)[:, at],
+                                  htd_correct_matrix(dag, lv, y))
+    assert reordered >= 25
 
 
 def test_levels_provenance_asserted(diamond):
@@ -106,3 +115,14 @@ def test_row_dag_mismatch(diamond):
     dag, lv = diamond
     with pytest.raises(AlignmentError):
         htd_correct(dag, lv, [0.9, 0.5])
+
+
+@pytest.mark.parametrize("correct", [
+    htd_correct,
+    lambda dag, lv, y: tpr_correct(dag, lv, y, threshold_config(dag)),
+    lambda dag, lv, y: iso_tpr_correct(dag, lv, y, threshold_config(dag))],
+    ids=["htd", "tpr", "iso-tpr"])
+def test_row_functions_reject_a_matrix(diamond, correct):
+    dag, lv = diamond
+    with pytest.raises(AlignmentError, match="^expected a 1-D score row$"):
+        correct(dag, lv, [[0.9, 0.5, 0.7, 0.6]])

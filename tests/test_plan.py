@@ -1,4 +1,5 @@
-"""The compiled level-plan kernels against the per-node reference loops.
+"""The LevelMap's compiled plan and its kernels against the per-node
+reference loops.
 
 Every variant must give bit-identical output.  The kernels group a level's
 nodes by summation width (k | 7 for k < 128 members, else k) and pad each
@@ -129,10 +130,9 @@ def test_plan_blocks_are_padded_width_groups(case):
     blocks of max(1, n // width) owners, the last one possibly shorter."""
     dag, lv = DAGS[case]
     n = len(dag)
-    plan = lv.plan
     ix = dag.index
-    for blocks, members in ((plan.up, dag.children),
-                            (plan.descendants, partial(descendants, dag))):
+    for blocks, members in ((lv.up, dag.children),
+                            (lv.descendants, partial(descendants, dag))):
         sizes, owners, last = {}, [], np.inf
         for ni, midx, weights in blocks:
             w = midx.shape[1]
@@ -179,19 +179,22 @@ def test_numpy_sums_keep_bits_when_padded_to_width(rows):
                 "longer keep each node's bits")
 
 
+PLAN = ("down", "up", "descendants")
+
+
 def test_plan_is_built_once_per_level_map():
     dag, lv = DAGS[0]
-    plan = lv.plan
+    plan = [getattr(lv, name) for name in PLAN]
     y = np.random.default_rng(7).uniform(size=(3, len(dag)))
     cfg = TprConfig(positive_selection="adaptive",
                     descendant_mode="descendants-linear")
     tpr_correct_matrix(dag, lv, y, cfg)
-    desc = plan.descendants
     htd_correct_matrix(dag, lv, y)
     tpr_correct_matrix(dag, lv, y, cfg)
-    assert lv.plan is plan
-    assert plan.descendants is desc
-    assert compute_levels(dag).plan is not plan
+    assert all(getattr(lv, name) is built for name, built in zip(PLAN, plan))
+    fresh = compute_levels(dag)
+    assert all(getattr(fresh, name) is not built
+               for name, built in zip(PLAN, plan))
 
 
 def _bench_generator():
@@ -224,16 +227,17 @@ def test_plan_matches_name_dict_plan_on_bench_taxonomies(workload):
     names, edges = BENCH_TAXONOMIES[workload](
         _bench_generator(), np.random.default_rng(1))
     edges = [(names[p], names[c]) for p, c in edges]
-    plan = compute_levels(build_dag(edges)).plan
+    lv = compute_levels(build_dag(edges))
     down, up, desc = ref.plan_by_name(ref.build_by_name(edges))
-    _assert_blocks_equal(plan.down, down)
-    _assert_blocks_equal(plan.up, up)
-    _assert_blocks_equal(plan.descendants, desc)
+    _assert_blocks_equal(lv.down, down)
+    _assert_blocks_equal(lv.up, up)
+    _assert_blocks_equal(lv.descendants, desc)
 
 
 def test_plan_is_not_built_by_compute_levels():
     dag, _ = DAGS[0]
-    assert "plan" not in vars(compute_levels(dag))
+    lv = compute_levels(dag)
+    assert not set(PLAN) & set(vars(lv))
 
 
 def test_edge_arrays_built_once_per_dag():

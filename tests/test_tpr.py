@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from hde import (
     htd_correct,
     tpr_correct,
 )
-from hde.tpr import tpr_correct_matrix
+from hde.tpr import DESCENDANT_MODES, POSITIVE_SELECTIONS, tpr_correct_matrix
 
-from conftest import random_dag, random_scores, threshold_config
+from conftest import (random_dag, random_scores, shuffle_parent_runs,
+                      threshold_config)
 from per_node_reference import positive_children
 
 DIAMOND_Y = np.array([0.9, 0.5, 0.7, 0.6])
@@ -103,18 +106,39 @@ class TestTprCorrect:
             assert (b >= y[0] - 1e-12).all()
 
     def test_within_level_order_independence(self):
+        # the rebuild with shuffled parent runs reorders the levels but
+        # keeps each node's children in order, so children-mode sums keep
+        # their bits; descendants follow node order, so their sums may
+        # differ in the last bit
         rng = np.random.default_rng(36)
-        for _ in range(20):
-            dag = random_dag(rng, 15)
-            lv = compute_levels(dag)
-            y = random_scores(rng, dag)[0]
-            cfg = threshold_config(dag, 0.5)
-            expected = tpr_correct(dag, lv, y, cfg)
-            shuffled = {d: tuple(rng.permutation(ns))
-                        for d, ns in lv.levels.items()}
-            lv2 = type(lv)(dag=dag, dist=lv.dist, levels=shuffled,
-                           max_level=lv.max_level)
-            assert np.array_equal(tpr_correct(dag, lv2, y, cfg), expected)
+        reordered = 0
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            dag = random_dag(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
+            dag2, at = shuffle_parent_runs(rng, dag)
+            lv, lv2 = compute_levels(dag), compute_levels(dag2)
+            reordered += lv.levels != lv2.levels
+            t = rng.uniform(size=n)
+            t2 = np.empty(n)
+            t2[at] = t
+            for rows in (1, 7):
+                y = random_scores(rng, dag, rows)
+                y2 = np.empty_like(y)
+                y2[:, at] = y
+                for mode, sel, w in product(DESCENDANT_MODES,
+                                            POSITIVE_SELECTIONS, (None, 0.3)):
+                    kw = dict(positive_selection=sel, w=w,
+                              descendant_mode=mode)
+                    adaptive = sel == "adaptive"
+                    got = tpr_correct_matrix(dag2, lv2, y2, TprConfig(
+                        thresholds=None if adaptive else t2, **kw))[:, at]
+                    want = tpr_correct_matrix(dag, lv, y, TprConfig(
+                        thresholds=None if adaptive else t, **kw))
+                    if mode == "children":
+                        assert np.array_equal(got, want), kw
+                    else:
+                        assert np.allclose(got, want, rtol=0, atol=1e-12), kw
+        assert reordered >= 25
 
     def test_matrix_equals_per_row(self):
         rng = np.random.default_rng(37)
