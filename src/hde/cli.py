@@ -34,6 +34,7 @@ from .scores import (
     write_scores_stream,
 )
 from .thresholds import (
+    ThresholdVector,
     align_thresholds,
     evaluate,
     fit_fscore,
@@ -80,21 +81,28 @@ def _load_dag(args):
     return build_dag(edges, dedup=args.dedup)
 
 
+def _thresholds(args, dag) -> ThresholdVector | None:
+    """The --thresholds-file or --threshold thresholds in the Dag's node
+    order, or None when neither option is given."""
+    if args.thresholds_file is not None:
+        return align_thresholds(read_thresholds(args.thresholds_file), dag)
+    if args.threshold is not None:
+        return fit_global(_check_range("--threshold", args.threshold, 0, 1),
+                          dag.nodes)
+    return None
+
+
 def _build_config(args, dag):
     if args.adaptive:
-        selection, t = "adaptive", None
-    elif args.thresholds_file is not None:
-        tv = align_thresholds(read_thresholds(args.thresholds_file), dag)
-        selection, t = "threshold", tv.values
-    elif args.threshold is not None:
-        t_bar = _check_range("--threshold", args.threshold, 0, 1)
-        selection, t = "threshold", np.full(len(dag), t_bar)
+        selection, tv = "adaptive", None
     else:
-        raise _ParamError("method requires --threshold, --thresholds-file "
-                          "or --adaptive")
+        selection, tv = "threshold", _thresholds(args, dag)
+        if tv is None:
+            raise _ParamError("method requires --threshold, "
+                              "--thresholds-file or --adaptive")
     mode = {"tpr-desc-const": "descendants-constant",
             "tpr-desc-lin": "descendants-linear"}.get(args.method, "children")
-    return TprConfig(positive_selection=selection, thresholds=t, w=args.w,
+    return TprConfig(positive_selection=selection, thresholds=tv, w=args.w,
                      descendant_mode=mode)
 
 
@@ -182,12 +190,7 @@ def cmd_eval(args) -> int:
     dag = _load_dag(args)
     scores = align_to_dag(read_scores(args.scores), dag)
     labels = align_to_dag(read_scores(args.labels), dag)
-    if args.thresholds_file is not None:
-        tv = align_thresholds(read_thresholds(args.thresholds_file), dag)
-    else:
-        tv = fit_global(_check_range("--threshold", args.threshold, 0, 1),
-                        dag.nodes)
-    report = evaluate(dag, scores, labels, tv)
+    report = evaluate(dag, scores, labels, _thresholds(args, dag))
     def write(fh):
         fh.write(f"# examples: {report.n_examples}\n")
         fh.write(f"# violations: {report.violation_count}\n")

@@ -37,9 +37,9 @@ class Dag:
     The core is integer: each edge's parent and child node indices, each
     node's child indices in edge order, and one first-in first-out Kahn
     pass over them that gives the topological order and every node's
-    max-distance level at once.  A cyclic edge set, built directly or not,
-    raises CycleError there.  The name-keyed relatives and the names of
-    the topological order are built on first use.
+    max-distance level at once.  A cyclic edge set raises CycleError
+    there.  The name-keyed relatives and the names of the topological
+    order are built on first use.
     """
 
     __slots__ = (
@@ -48,27 +48,12 @@ class Dag:
         "_relatives",
     )
 
-    def __init__(self, nodes, edges, root, synthetic_root_flag):
-        nodes = tuple(nodes)
-        index = dict(zip(nodes, range(len(nodes))))
-        edges = tuple(edges)
-        self._link(nodes, edges, root, synthetic_root_flag, index,
-                   *_edge_ends(index, edges))
-
-    @classmethod
-    def _from_index(cls, nodes, edges, root, synthetic_root_flag, index,
-                    pi, ci):
-        """A Dag from names already interned: `index` maps each node to its
-        position in `nodes`, `pi`/`ci` hold each edge's parent and child
-        positions."""
-        dag = cls.__new__(cls)
-        dag._link(tuple(nodes), tuple(edges), root, synthetic_root_flag,
-                  index, pi, ci)
-        return dag
-
-    def _link(self, nodes, edges, root, synthetic_root_flag, index, pi, ci):
-        self.nodes = nodes
-        self.edges = edges
+    def __init__(self, nodes, edges, root, synthetic_root_flag, index, pi, ci):
+        """`build_dag`'s: names already interned and checked, `index` maps
+        each node to its position in `nodes`, `pi`/`ci` hold each edge's
+        parent and child positions."""
+        self.nodes = nodes = tuple(nodes)
+        self.edges = tuple(edges)
         self.root = root
         self.synthetic_root_flag = synthetic_root_flag
         self._index = index
@@ -419,7 +404,7 @@ def build_dag(edges, dedup: bool = False) -> Dag:
             f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root")
     # otherwise a lone "__ROOT__" root is the round-trip of an augmented graph
 
-    return Dag._from_index(nodes, edges, root, synthetic, index, pi, ci)
+    return Dag(nodes, edges, root, synthetic, index, pi, ci)
 
 
 def _find_cycle(dag):

@@ -8,12 +8,15 @@ from .dag import Dag, LevelMap
 from .errors import AlignmentError
 
 
-def _check_aligned(dag: Dag, levels: LevelMap, values: np.ndarray):
+def _check_aligned(dag: Dag, levels: LevelMap, flat) -> np.ndarray:
+    """`flat` as a 2-D float64 matrix, checked against the Dag and levels."""
+    flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     if levels.dag is not dag:
         raise AlignmentError("LevelMap was computed from a different Dag")
-    if values.shape[-1] != len(dag):
+    if flat.shape[-1] != len(dag):
         raise AlignmentError(
-            f"{values.shape[-1]} scores for a {len(dag)}-node taxonomy")
+            f"{flat.shape[-1]} scores for a {len(dag)}-node taxonomy")
+    return flat
 
 
 def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarray:
@@ -25,9 +28,7 @@ def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarr
     every parent is final before its children are visited, so the output
     obeys ancestor >= descendant on every edge.
     """
-    flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
-    _check_aligned(dag, levels, flat)
-    return levels.topdown(flat)
+    return levels.topdown(_check_aligned(dag, levels, flat))
 
 
 def _row(correct_matrix, dag: Dag, levels: LevelMap, flat, *config):

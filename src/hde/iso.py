@@ -194,8 +194,7 @@ def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
     The bottom-up TPR pass runs once, on the whole matrix; each row of its
     output is then projected on its own by `isotonic_project`.
     """
-    flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
-    _check_aligned(dag, levels, flat)
+    flat = _check_aligned(dag, levels, flat)
     base = _bottom_up_matrix(dag, levels, flat, config)
     out = np.empty_like(base)
     for r in range(base.shape[0]):

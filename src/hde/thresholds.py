@@ -173,20 +173,19 @@ def fit_percentile(train_scores: ScoreMatrix, train_labels: ScoreMatrix,
     if not (0.0 <= k <= 100.0):
         raise RangeError(f"percentile must lie in [0, 100], got {k}")
     _check_pair(train_scores, train_labels)
-    s = train_scores.values
     pos = train_labels.values > 0.5
-    out = np.empty(s.shape[1])
-    for j in range(s.shape[1]):
-        vals = np.sort(s[pos[:, j], j])
-        if vals.size == 0:
-            warnings.warn(
-                f"class {train_scores.class_ids[j]!r} has no positive "
-                "training examples; threshold falls back to 0.5",
-                NoPositivesWarning, stacklevel=2)
-            out[j] = 0.5
-            continue
-        rank = max(1, int(np.ceil(k / 100.0 * vals.size)))
-        out[j] = vals[rank - 1]
+    m = pos.sum(axis=0)
+    # each column's positive scores sorted ahead of its other cells (+inf)
+    ranked = np.sort(np.where(pos, train_scores.values, np.inf), axis=0)
+    rank = np.maximum(1, np.ceil(k / 100.0 * m).astype(np.intp))
+    out = np.full(m.size, 0.5)
+    cols = np.flatnonzero(m)
+    out[cols] = ranked[rank[cols] - 1, cols]
+    for j in np.flatnonzero(m == 0).tolist():
+        warnings.warn(
+            f"class {train_scores.class_ids[j]!r} has no positive "
+            "training examples; threshold falls back to 0.5",
+            NoPositivesWarning, stacklevel=2)
     return ThresholdVector(list(train_scores.class_ids), out, "percentile")
 
 

@@ -109,8 +109,7 @@ def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
 
     Phase C is the HTD sweep applied to the phase-B values.
     """
-    flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
-    _check_aligned(dag, levels, flat)
+    flat = _check_aligned(dag, levels, flat)
     return levels.topdown(_bottom_up_matrix(dag, levels, flat, config))
 
 

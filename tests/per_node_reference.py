@@ -10,9 +10,11 @@ match them bit for bit.
 node; `test_tpr.py` checks its membership rules.  `kkt_residual` certifies
 an isotonic projection without the production solver.
 
-`read_scores_rows` and `fit_fscore_grid` are the per-cell scores reader and
-the per-grid-value F-score fit: `test_scores.py` and `test_thresholds.py`
-require `read_scores` and `fit_fscore` to match them bit for bit.
+`read_scores_rows`, `fit_fscore_grid` and `fit_percentile_loop` are the
+per-cell scores reader, the per-grid-value F-score fit and the per-class
+percentile fit: `test_scores.py` and `test_thresholds.py` require
+`read_scores`, `fit_fscore` and `fit_percentile` to match them bit for bit
+(the percentile fit in its warnings too).
 
 `build_by_name` is the taxonomy build on name-keyed dicts: one validation
 loop over the edges, child and parent dicts of tuples, Kahn's algorithm and
@@ -23,6 +25,7 @@ of `compute_levels` (its name views and plan arrays) to give what they
 give.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +38,7 @@ from hde.errors import (
     DagError,
     DuplicateEdgeError,
     EmptyGraphError,
+    NoPositivesWarning,
     ParseError,
     RangeError,
     SelfLoopError,
@@ -223,6 +227,26 @@ def fit_fscore_grid(train_scores, train_labels, grid):
         out[better] = t
     out[~pos.any(axis=0)] = grid[-1]
     return ThresholdVector(ids, out, "fscore")
+
+
+def fit_percentile_loop(train_scores, train_labels, k):
+    """Per class in turn, the nearest-rank k-th percentile of its sorted
+    positive scores; a class without positives warns and gets 0.5."""
+    s = train_scores.values
+    pos = train_labels.values > 0.5
+    out = np.empty(s.shape[1])
+    for j in range(s.shape[1]):
+        vals = np.sort(s[pos[:, j], j])
+        if vals.size == 0:
+            warnings.warn(
+                f"class {train_scores.class_ids[j]!r} has no positive "
+                "training examples; threshold falls back to 0.5",
+                NoPositivesWarning, stacklevel=2)
+            out[j] = 0.5
+            continue
+        rank = max(1, int(np.ceil(k / 100.0 * vals.size)))
+        out[j] = vals[rank - 1]
+    return ThresholdVector(list(train_scores.class_ids), out, "percentile")
 
 
 def build_by_name(edges, dedup=False):

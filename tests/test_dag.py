@@ -329,11 +329,11 @@ class TestTopologicalOrder:
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
-    @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                          .filter(lambda e: e[0] != e[1]),
                           min_size=1, max_size=16, unique=True))
-    def test_direct_dag_rejects_a_cycle_or_orders_every_node(self, pairs):
-        names = [f"n{i}" for i in range(8)]
-        edges = [(names[p], names[c]) for p, c in pairs]
+    def test_build_dag_rejects_a_cycle_or_orders_every_node(self, pairs):
+        edges = [(f"n{p}", f"n{c}") for p, c in pairs]
         # reach[i, j]: a path of one or more edges leads from i to j
         reach = np.zeros((8, 8), dtype=bool)
         for p, c in pairs:
@@ -342,13 +342,20 @@ class TestTopologicalOrder:
             reach |= reach[:, [k]] & reach[[k], :]
         if reach.diagonal().any():
             with pytest.raises(CycleError) as err:
-                Dag(names, edges, "n0", False)
+                build_dag(edges)
             cyc = err.value.cycle
             assert cyc[0] == cyc[-1] and len(cyc) >= 2
             assert all(e in edges for e in zip(cyc, cyc[1:]))
             return
-        dag = Dag(names, edges, "n0", False)
+        dag = build_dag(edges)
         order = dag.topological_order()
-        assert sorted(order) == sorted(names)
+        assert sorted(order) == sorted(dag.nodes)
         at = {n: k for k, n in enumerate(order)}
         assert all(at[p] < at[c] for p, c in dag.edges)
+
+
+def test_dag_has_no_unchecked_constructor():
+    # build_dag is the one way to build a Dag: the old four-argument call,
+    # which skipped its checks, is gone
+    with pytest.raises(TypeError):
+        Dag(["a", "b", "c"], [("a", "c")], "a", False)

@@ -14,7 +14,6 @@ from hde import (
     isotonic_project,
 )
 
-from hde.dag import Dag
 from hde.tpr import _bottom_up_matrix
 
 from conftest import (
@@ -57,16 +56,14 @@ class TestIsotonicProject:
             assert sol.values == pytest.approx(z, abs=1e-9)
             assert sol.objective <= 1e-18
 
-    def test_single_node_dag(self):
-        from hde.dag import Dag
-        dag = Dag(["only"], [], "only", False)
-        sol = isotonic_project(dag, [0.3])
-        assert np.array_equal(sol.values, [0.3])
+    def test_smallest_dag_feasible_row_unchanged(self):
+        sol = isotonic_project(build_dag([("r", "a")]), [0.3, 0.2])
+        assert np.array_equal(sol.values, [0.3, 0.2])
         assert sol.objective == 0.0
 
-    def test_edgeless_row_is_clipped_like_any_other(self):
-        sol = isotonic_project(Dag(["only"], [], "only", False), [1.5])
-        assert np.array_equal(sol.values, [1.0])
+    def test_smallest_dag_row_is_clipped_like_any_other(self):
+        sol = isotonic_project(build_dag([("r", "a")]), [1.5, 0.2])
+        assert np.array_equal(sol.values, [1.0, 0.2])
         assert sol.objective == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,8 +1,11 @@
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hde import (
     AlignmentError,
@@ -209,6 +212,31 @@ class TestFitPercentile:
         scores, labels = matrix_pair([[0.7]], [[1]])
         with pytest.raises(RangeError):
             fit_percentile(scores, labels, 101)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(rows=st.integers(0, 29), cols=st.integers(1, 19),
+           decimals=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           k=st.sampled_from([0, 33.3, 50, 100]) | st.floats(0, 100))
+    def test_matches_per_class_loop(self, rows, cols, decimals, seed, k):
+        # ties from rounding, classes without positives, and no rows at all
+        rng = np.random.default_rng(seed)
+        s = np.round(rng.uniform(size=(rows, cols)), decimals)
+        pos = rng.uniform(size=(rows, cols)) < rng.uniform()
+        scores, labels = matrix_pair(s, pos * 1.0)
+
+        def run(fit):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                tv = fit(scores, labels, k)
+            return tv, [(w.category, str(w.message)) for w in caught]
+
+        got, got_warned = run(fit_percentile)
+        want, want_warned = run(ref.fit_percentile_loop)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.strategy_tag == want.strategy_tag == "percentile"
+        assert got_warned == want_warned
+        assert len(want_warned) == int((~pos.any(axis=0)).sum())
 
 
 class TestEvaluate:
