@@ -332,7 +332,7 @@ class TestTopologicalOrder:
     @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
                           .filter(lambda e: e[0] != e[1]),
                           min_size=1, max_size=16, unique=True))
-    def test_build_dag_rejects_a_cycle_or_orders_every_node(self, pairs):
+    def test_direct_dag_rejects_a_cycle_or_orders_every_node(self, pairs):
         edges = [(f"n{p}", f"n{c}") for p, c in pairs]
         # reach[i, j]: a path of one or more edges leads from i to j
         reach = np.zeros((8, 8), dtype=bool)
