@@ -29,6 +29,7 @@ from .iso import iso_tpr_correct_matrix
 from .scores import (
     ScoreMatrix,
     _violations,
+    _write_rows,
     align_to_dag,
     read_scores,
     write_scores_stream,
@@ -197,10 +198,8 @@ def cmd_eval(args) -> int:
         fh.write(f"# max_violation_gap: {repr(report.max_violation_gap)}\n")
         fh.write("class\tP\tR\tF\n")
         m = report.metrics
-        for j, c in enumerate(m.class_ids):
-            fh.write(f"{c}\t{repr(float(m.precision[j]))}"
-                     f"\t{repr(float(m.recall[j]))}"
-                     f"\t{repr(float(m.f_score[j]))}\n")
+        _write_rows(fh, m.class_ids,
+                    np.column_stack([m.precision, m.recall, m.f_score]))
     _emit(args.output, write)
     return 0
 

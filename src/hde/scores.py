@@ -204,13 +204,29 @@ def read_scores(path) -> ScoreMatrix:
     return ScoreMatrix(example_ids, header, values, comments=comments)
 
 
+def _write_rows(fh, labels, values, digits: int | None = None) -> None:
+    """One `label<TAB>cell...` line per row of a 2-D float array.  In each
+    block of about 4096 cells, each distinct float64 bit pattern (so -0.0
+    apart from 0.0) is formatted once."""
+    fmt = repr if digits is None else f"{{:.{digits}f}}".format
+    step = max(1, 4096 // max(values.shape[1], 1))
+    for i in range(0, len(values), step):
+        block = np.ascontiguousarray(values[i:i + step], dtype=np.float64)
+        bits, inv = np.unique(block.view(np.int64), return_inverse=True)
+        texts = np.fromiter(map(fmt, bits.view(np.float64).tolist()), object)
+        rows = texts[inv].reshape(block.shape).tolist()
+        fh.write("".join([f"{lab}\t" + "\t".join(cells) + "\n"
+                          for lab, cells in zip(labels[i:i + step], rows)]))
+
+
 def write_scores_stream(matrix: ScoreMatrix, fh, digits: int | None = None) -> None:
+    """Write a scores TSV to an open text stream.  A cell is Python's
+    shortest round-trip repr, or `{:.Kf}` for digits=K, and -0.0 stays
+    -0.0; the bytes do not depend on how the writer batches cells."""
     for c in matrix.comments:
         fh.write(f"# {c}\n")
     fh.write("example\t" + "\t".join(matrix.class_ids) + "\n")
-    fmt = repr if digits is None else f"{{:.{digits}f}}".format
-    for ex, row in zip(matrix.example_ids, matrix.values):
-        fh.write(ex + "\t" + "\t".join(map(fmt, row.tolist())) + "\n")
+    _write_rows(fh, matrix.example_ids, matrix.values, digits)
 
 
 def write_scores(matrix: ScoreMatrix, path, digits: int | None = None) -> None:

@@ -28,6 +28,7 @@ from .scores import (
     _node_columns,
     _parse_cells,
     _violation_mask,
+    _write_rows,
 )
 
 DEFAULT_GRID = np.round(np.arange(0.01, 1.00, 0.01), 2)
@@ -238,8 +239,7 @@ def read_thresholds(path) -> ThresholdVector:
 
 def write_thresholds_stream(tv: ThresholdVector, fh) -> None:
     fh.write(f"# strategy: {tv.strategy_tag}\n")
-    for c, v in zip(tv.class_ids, tv.values):
-        fh.write(f"{c}\t{repr(float(v))}\n")
+    _write_rows(fh, tv.class_ids, tv.values[:, None])
 
 
 def write_thresholds(tv: ThresholdVector, path) -> None:

@@ -10,10 +10,12 @@ The span tables are read with `ast`, not by importing the harness.
 import ast
 import importlib
 import inspect
+import io
 from pathlib import Path
 
 import pytest
 
+import hde.cli
 from hde import build_dag, compute_levels, isotonic_project
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -60,3 +62,30 @@ def test_level_map_has_max_level_and_levels():
     levels = compute_levels(build_dag([("r", "a"), ("a", "b"), ("r", "b")]))
     assert levels.max_level == 2
     assert levels.levels == {0: ("r",), 1: ("a",), 2: ("b",)}
+
+
+def test_correct_writes_its_table_in_one_write_scores_stream_call(
+        tmp_path, monkeypatch):
+    # scores.write_scores_s is the time inside this call: a writer whose
+    # formatting ran outside it would leave that metric near 0
+    calls = []
+    real = hde.cli.write_scores_stream
+
+    def spy(matrix, fh, *args, **kwargs):
+        calls.append(matrix)
+        return real(matrix, fh, *args, **kwargs)
+
+    monkeypatch.setattr(hde.cli, "write_scores_stream", spy)
+    (tmp_path / "dag.tsv").write_text("r\ta\nr\tb\na\tc\nb\tc\n")
+    (tmp_path / "scores.tsv").write_text(
+        "example\tr\ta\tb\tc\ne1\t0.9\t0.5\t0.7\t0.6\n"
+        "e2\t0.4\t0.5\t0.1\t0.6\n")
+    out = tmp_path / "out.tsv"
+    assert hde.cli.main(["correct", "--dag", str(tmp_path / "dag.tsv"),
+                         "--scores", str(tmp_path / "scores.tsv"),
+                         "--method", "tpr", "--threshold", "0.5",
+                         "-o", str(out)]) == 0
+    assert len(calls) == 1
+    fh = io.StringIO()
+    real(calls[0], fh)
+    assert out.read_text(encoding="utf-8") == fh.getvalue()

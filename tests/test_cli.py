@@ -16,6 +16,8 @@ from conftest import random_dag
 from hde import (
     ScoreMatrix,
     build_dag,
+    evaluate,
+    fit_global,
     isotonic_project,
     read_scores,
     read_thresholds,
@@ -465,6 +467,36 @@ class TestFitThresholdsAndEval:
         assert out.splitlines()[3] == "class\tP\tR\tF"
         # class r: every example positive and predicted => F = 1
         assert any(l.startswith("r\t1.0\t1.0\t1.0") for l in out.splitlines())
+
+    def test_eval_tied_metrics_write_as_one_at_a_time(self, tmp_path):
+        # 3000 classes x P/R/F span three of the writer's 4096-cell blocks,
+        # and 7 examples leave few distinct values
+        rng = np.random.default_rng(5)
+        dag = random_dag(rng, 3000)
+        write_edge_list(dag, tmp_path / "dag.tsv")
+        ex = [f"e{i}" for i in range(7)]
+        pool = np.array([0.0, 1e-05, 0.5, np.nextafter(1.0, 0.0), 1.0])
+        scores = ScoreMatrix(ex, list(dag.nodes),
+                             pool[rng.integers(len(pool), size=(7, 3000))])
+        labels = ScoreMatrix(ex, list(dag.nodes),
+                             rng.integers(2, size=(7, 3000)).astype(float))
+        write_scores(scores, tmp_path / "s.tsv")
+        write_scores(labels, tmp_path / "l.tsv")
+        out = tmp_path / "eval.tsv"
+        assert run("eval", "--dag", tmp_path / "dag.tsv",
+                   "--scores", tmp_path / "s.tsv",
+                   "--labels", tmp_path / "l.tsv",
+                   "--threshold", "0.5", "-o", out) == 0
+        rep = evaluate(dag, scores, labels, fit_global(0.5, dag.nodes))
+        m = rep.metrics
+        expected = ["# examples: 7\n",
+                    f"# violations: {rep.violation_count}\n",
+                    f"# max_violation_gap: {rep.max_violation_gap!r}\n",
+                    "class\tP\tR\tF\n"] + [
+            f"{c}\t{float(p)!r}\t{float(r)!r}\t{float(f)!r}\n"
+            for c, p, r, f in zip(m.class_ids, m.precision, m.recall,
+                                  m.f_score)]
+        assert out.read_text(encoding="utf-8").splitlines(True) == expected
 
     def test_score_outside_unit_interval_is_io_error(self, tmp_path, capsys):
         # a bad value in an input file is an input error, not a parameter one

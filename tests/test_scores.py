@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -180,10 +180,18 @@ class TestScoresIO:
 
 UNIT_FLOATS = st.one_of(
     st.floats(0.0, 1.0),
-    st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 0.5, np.nextafter(0.5, 0.0),
-                     np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]))
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1.0, 0.5,
+                     np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                     np.nextafter(1.0, 0.0)]))
 SCORE_VALUES = st.tuples(st.integers(0, 5), st.integers(1, 6)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=UNIT_FLOATS))
+
+
+# -0.0 beside 0.0, the smallest subnormal, a value repr writes with an
+# exponent and the float just below 1
+TIE_POOL = [-0.0, 0.0, 5e-324, 1e-05, float(np.nextafter(1.0, 0.0)), 0.5]
+# shapes on both sides of the writer's blocks of about 4096 cells
+TIE_SHAPES = [(0, 3), (1, 1), (3, 4), (5, 1500), (2, 5000), (9000, 1)]
 
 
 def per_scalar_text(matrix, digits):
@@ -227,6 +235,49 @@ class TestScoresRoundTrip:
             assert back.values.shape == values.shape
             # bit for bit: -0.0 must stay -0.0
             assert back.values.tobytes() == values.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(pool=st.one_of(st.just(TIE_POOL),
+                          st.lists(UNIT_FLOATS, min_size=1, max_size=6)),
+           shape=st.sampled_from(TIE_SHAPES),
+           digits=st.sampled_from([None, 0, 2, 17, 1074]),
+           layout=st.sampled_from(["C", "Fortran", "every other column"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(pool=TIE_POOL, shape=(5, 1500), digits=1074, layout="Fortran",
+             seed=1)
+    @example(pool=TIE_POOL, shape=(9000, 1), digits=None,
+             layout="every other column", seed=2)
+    @example(pool=TIE_POOL, shape=(2, 5000), digits=2, layout="C", seed=3)
+    def test_tied_cells_write_as_one_at_a_time(self, tmp_path_factory, pool,
+                                               shape, digits, layout, seed):
+        n, w = shape
+        cols = 2 * w if layout == "every other column" else w
+        pick = np.random.default_rng(seed).integers(len(pool), size=(n, cols))
+        values = np.array(pool, dtype=np.float64)[pick]
+        if layout == "Fortran":
+            values = np.asfortranarray(values)
+        elif layout == "every other column":
+            values = values[:, ::2]
+        m = ScoreMatrix([f"e{i}" for i in range(n)],
+                        [f"c{j}" for j in range(w)], values)
+        path = tmp_path_factory.mktemp("ties") / "s.tsv"
+        write_scores(m, path, digits=digits)
+        # compared line by line: pytest's diff of two long texts is slow
+        assert (path.read_text(encoding="utf-8").splitlines(True)
+                == per_scalar_text(m, digits).splitlines(True))
+
+    @pytest.mark.parametrize("digits, row", [
+        (None, "e0\t-0.0\t0.0\t-0.0\t0.0"),
+        (2, "e0\t-0.00\t0.00\t-0.00\t0.00")])
+    def test_signed_zeros_keep_their_sign(self, tmp_path, digits, row):
+        # -0.0 == 0.0, so a writer that formats each distinct float value
+        # once would print one sign for all four cells
+        m = ScoreMatrix(["e0"], ["a", "b", "c", "d"],
+                        np.array([[-0.0, 0.0, -0.0, 0.0]]))
+        path = tmp_path / "s.tsv"
+        write_scores(m, path, digits=digits)
+        assert path.read_text(encoding="utf-8").splitlines()[1] == row
 
 
 HARD_LITERALS = [

@@ -296,6 +296,18 @@ class TestThresholdIO:
         assert back.class_ids == tv.class_ids
         assert np.array_equal(back.values, tv.values)
 
+    def test_tied_values_write_as_one_at_a_time(self, tmp_path):
+        # 9000 classes span three of the writer's 4096-cell blocks
+        pool = np.array([-0.0, 0.0, 5e-324, 1e-05, np.nextafter(1.0, 0.0),
+                         0.5])
+        values = pool[np.random.default_rng(3).integers(len(pool), size=9000)]
+        tv = ThresholdVector([f"c{j}" for j in range(9000)], values, "fscore")
+        path = tmp_path / "t.tsv"
+        write_thresholds(tv, path)
+        expected = ["# strategy: fscore\n"] + [
+            f"{c}\t{float(v)!r}\n" for c, v in zip(tv.class_ids, values)]
+        assert path.read_text(encoding="utf-8").splitlines(True) == expected
+
     @pytest.mark.parametrize("value", ["1.5", "nan", "-0.25"])
     def test_out_of_range_value_names_its_line(self, tmp_path, value):
         path = tmp_path / "t.tsv"
