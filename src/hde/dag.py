@@ -10,7 +10,7 @@ ancestor of a node sits on a strictly smaller level.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -183,7 +183,8 @@ class LevelMap:
     summation width w, children in edge order, each row padded with the
     sentinel index n (see `_width_blocks`).  Width groups add every per-node
     sum in the same order, and so with the same rounding, as a loop over
-    single nodes.
+    single nodes.  The passes index nodes on the first axis of their working
+    arrays (node-major, see `topdown`), so every gather is a plain `W[idx]`.
     """
 
     def __init__(self, dag: Dag):
@@ -271,15 +272,15 @@ class LevelMap:
     def topdown(self, ref: np.ndarray) -> np.ndarray:
         """Top-down sweep: out = min(ref, min over parents of out).
 
-        Level by level from the root, so every parent is final before its
-        children; the root keeps its `ref` score.  HTD is topdown(flat),
-        TPR's last phase topdown(bottom-up output).
+        `ref` is node-major: an (n,) vector for one row, an (n, R) array
+        for R rows.  Level by level from the root, so every parent is final
+        before its children; the root keeps its `ref` score.  HTD is
+        topdown(flat), TPR's last phase topdown(bottom-up output).
         """
         out = ref.copy()
         for nodes, parents, offsets in self.down:
-            out[:, nodes] = np.minimum(
-                ref[:, nodes],
-                np.minimum.reduceat(out[:, parents], offsets, axis=1))
+            out[nodes] = np.minimum(
+                ref[nodes], np.minimum.reduceat(out[parents], offsets))
         return out
 
 
@@ -290,10 +291,12 @@ def _width_blocks(level, owner, member, weight):
     An owner of k members has width k | 7 (the k mod 8 tail filled up to
     7) for k < 128, and k itself from numpy's pairwise block size 128 up.
     Its member row is padded at the end with the sentinel index n_nodes
-    and weight 0.  numpy sums a one-row gather with 8 pairwise accumulators
-    and then the k mod 8 tail in order, and a many-row gather strictly in
-    order; either way padding within the width only adds zeros after the
-    node's own terms, so each node's sum keeps its bits.  Members keep
+    and weight 0.  The passes gather node-major and sum over the members'
+    axis 1: numpy sums a one-row (nb, w) gather of an (n,) vector with 8
+    pairwise accumulators and then the k mod 8 tail in order, and an R-row
+    (nb, w, R) gather of an (n, R) array strictly in order; either way
+    padding within the width only adds zeros after the node's own terms,
+    so each node's sum keeps its bits.  Members keep
     their given order within each owner.  A block holds at most
     max(1, n_nodes // w) owners, so a gather over one block is no larger
     than a gather over a whole score row.
@@ -463,17 +466,25 @@ def read_edge_list(path) -> list:
     """Parse a TSV edge-list file into (parent, child) pairs.
 
     One `parent<TAB>child` pair per line; `#` comment lines and blank
-    lines are ignored.
+    lines are ignored.  The file is read whole and split at line feeds
+    only: the lines a text-mode file iterates.
     """
-    pairs = []
-    for lineno, line in _records(path):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError("expected 'parent<TAB>child'", line=lineno)
-        pairs.append((parts[0], parts[1]))
-    if not pairs:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    kept = [ln for ln in lines if (text := ln.lstrip()) and text[0] != "#"]
+    if not kept:
         raise EmptyGraphError(f"no edges found in {path}")
-    return pairs
+    fields = "\t".join(kept).split("\t")
+    if "" in fields or set(map(str.count, kept, repeat("\t"))) != {1}:
+        # the first bad line; an equal line before it would be bad too
+        bad = next(line for line in kept
+                   if len(parts := line.split("\t")) != 2 or "" in parts)
+        raise ParseError("expected 'parent<TAB>child'",
+                         line=lines.index(bad) + 1)
+    return list(zip(fields[0::2], fields[1::2]))
 
 
 def write_edge_list(dag: Dag, path) -> None:

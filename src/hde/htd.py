@@ -9,14 +9,20 @@ from .errors import AlignmentError
 
 
 def _check_aligned(dag: Dag, levels: LevelMap, flat) -> np.ndarray:
-    """`flat` as a 2-D float64 matrix, checked against the Dag and levels."""
+    """`flat`, an (R, n) matrix checked against the Dag and levels, in the
+    kernels' float64 node-major layout: (n,) for one row, else (n, R)."""
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     if levels.dag is not dag:
         raise AlignmentError("LevelMap was computed from a different Dag")
     if flat.shape[-1] != len(dag):
         raise AlignmentError(
             f"{flat.shape[-1]} scores for a {len(dag)}-node taxonomy")
-    return flat
+    return flat[0] if len(flat) == 1 else np.ascontiguousarray(flat.T)
+
+
+def _row_major(out: np.ndarray) -> np.ndarray:
+    """A kernel's node-major output as a C-contiguous (R, n) matrix."""
+    return out[None] if out.ndim == 1 else np.ascontiguousarray(out.T)
 
 
 def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarray:
@@ -28,7 +34,7 @@ def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarr
     every parent is final before its children are visited, so the output
     obeys ancestor >= descendant on every edge.
     """
-    return levels.topdown(_check_aligned(dag, levels, flat))
+    return _row_major(levels.topdown(_check_aligned(dag, levels, flat)))
 
 
 def _row(correct_matrix, dag: Dag, levels: LevelMap, flat, *config):

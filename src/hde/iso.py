@@ -15,7 +15,7 @@ import numpy as np
 
 from .dag import Dag, LevelMap, edge_index_arrays
 from .errors import AlignmentError, ConvergenceError
-from .htd import _check_aligned, _row
+from .htd import _row
 from .tpr import TprConfig, _bottom_up_matrix
 
 
@@ -194,7 +194,6 @@ def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
     The bottom-up TPR pass runs once, on the whole matrix; each row of its
     output is then projected on its own by `isotonic_project`.
     """
-    flat = _check_aligned(dag, levels, flat)
     base = _bottom_up_matrix(dag, levels, flat, config)
     out = np.empty_like(base)
     for r in range(base.shape[0]):

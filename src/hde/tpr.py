@@ -15,7 +15,7 @@ import numpy as np
 
 from .dag import Dag, LevelMap
 from .errors import AlignmentError, WeightRangeError, check_unit_interval
-from .htd import _check_aligned, _row
+from .htd import _check_aligned, _row, _row_major
 
 POSITIVE_SELECTIONS = ("threshold", "adaptive")
 DESCENDANT_MODES = ("children", "descendants-constant", "descendants-linear")
@@ -56,51 +56,54 @@ class TprConfig:
             raise ValueError("threshold selection requires a threshold vector")
 
 
-def _check_thresholds(dag: Dag, config: TprConfig):
-    if config.thresholds is not None and config.thresholds.shape != (len(dag),):
-        raise AlignmentError("threshold vector not aligned with the taxonomy")
-
-
-def _bottom_up_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
-                      config: TprConfig) -> np.ndarray:
-    """Phase B over a whole matrix; root row values are left untouched.
+def _bottom_up(dag: Dag, levels: LevelMap, flat: np.ndarray,
+               cfg: TprConfig) -> np.ndarray:
+    """Phase B on node-major scores; root values are left untouched.
 
     One gather per block of same-level nodes with the same summation width
-    (children or descendants, per the level plan).  Member rows are padded
-    with index n: column n of the working copy holds -inf, which no
-    comparison admits into a positive set, so a pad adds only zeros after
-    the node's own terms and each node's sums keep their bits.
+    (children or descendants, per the level plan): (nb, w) for one row,
+    (nb, w, R) for R rows, summed over the members' axis 1.  Member rows
+    are padded with index n: row n of the working copy holds -inf, which
+    no comparison admits into a positive set, so a pad adds only zeros
+    after the node's own terms and each node's sums keep their bits.
     """
-    cfg = config
-    _check_thresholds(dag, cfg)
+    if cfg.thresholds is not None and cfg.thresholds.shape != (len(dag),):
+        raise AlignmentError("threshold vector not aligned with the taxonomy")
     up = (levels.up if cfg.descendant_mode == "children"
           else levels.descendants)
     linear = cfg.descendant_mode == "descendants-linear"
     t = None if cfg.thresholds is None else np.append(cfg.thresholds, 0.0)
-    n = flat.shape[1]
-    out = np.hstack([flat, np.full((len(flat), 1), -np.inf)])
+    per_node = (..., *[None] * (flat.ndim - 1))  # broadcast over rows
+    out = np.concatenate([flat, np.full((1, *flat.shape[1:]), -np.inf)])
     for ni, midx, weights in up:
-        vals = out[:, midx]  # rows x nodes x members
+        vals = out[midx]  # nodes x members (x rows)
+        own = flat[ni]
         if cfg.positive_selection == "threshold":
-            mask = vals > t[midx]
+            mask = vals > t[midx][per_node]
         else:
-            mask = vals > flat[:, ni, None]
+            mask = vals > own[:, None]
         if not linear:
-            wsum = mask.sum(axis=2)
-            vsum = np.where(mask, vals, 0.0).sum(axis=2)
+            wsum = mask.sum(axis=1)
+            vsum = np.where(mask, vals, 0.0).sum(axis=1)
         else:
-            wsum = (mask * weights).sum(axis=2)
-            vsum = (np.where(mask, vals, 0.0) * weights).sum(axis=2)
+            weights = weights[per_node]
+            wsum = (mask * weights).sum(axis=1)
+            vsum = (np.where(mask, vals, 0.0) * weights).sum(axis=1)
         if cfg.w is None:
-            out[:, ni] = (flat[:, ni] + vsum) / (1.0 + wsum)
+            out[ni] = (own + vsum) / (1.0 + wsum)
         else:
             # empty positive set: the children term vanishes entirely
             safe = np.where(wsum > 0, wsum, 1.0)
-            out[:, ni] = np.where(
-                wsum > 0,
-                cfg.w * flat[:, ni] + (1.0 - cfg.w) * vsum / safe,
-                flat[:, ni])
-    return out[:, :n]
+            out[ni] = np.where(
+                wsum > 0, cfg.w * own + (1.0 - cfg.w) * vsum / safe, own)
+    return out[:-1]
+
+
+def _bottom_up_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
+                      config: TprConfig) -> np.ndarray:
+    """Phase B of an (R, n) score matrix, as an (R, n) matrix."""
+    return _row_major(_bottom_up(dag, levels, _check_aligned(dag, levels, flat),
+                                 config))
 
 
 def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
@@ -110,7 +113,7 @@ def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
     Phase C is the HTD sweep applied to the phase-B values.
     """
     flat = _check_aligned(dag, levels, flat)
-    return levels.topdown(_bottom_up_matrix(dag, levels, flat, config))
+    return _row_major(levels.topdown(_bottom_up(dag, levels, flat, config)))
 
 
 def tpr_correct(dag: Dag, levels: LevelMap, flat, config: TprConfig) -> np.ndarray:

@@ -222,6 +222,40 @@ class TestEdgeListIO:
         with pytest.raises(ParseError, match="line 2"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("text, pairs", [
+        (" \t \nr\ta\n", [("r", "a")]),  # whitespace holding a tab: blank
+        ("r\tGO#1\nGO#1\tx\n", [("r", "GO#1"), ("GO#1", "x")]),
+        ("r\ta\r\na\tb\r\n", [("r", "a"), ("a", "b")]),  # CRLF
+        ("r\ta\ra\tb", [("r", "a"), ("a", "b")]),  # CR, no final newline
+        ("r\ta\x0cb\n", [("r", "a\x0cb")]),  # not a line break in files
+        ("  a\tb \n", [("  a", "b ")]),  # spaces are part of identifiers
+    ])
+    def test_lines_and_identifiers(self, tmp_path, text, pairs):
+        path = tmp_path / "dag.tsv"
+        path.write_bytes(text.encode())
+        assert read_edge_list(path) == pairs
+
+    @pytest.mark.parametrize("text, line", [
+        ("r\ta\nr\n\nr\ta\tb\n", 2),  # no tab, then two tabs
+        ("r\ta\n# c\nr\ta\tb\nr\n", 3),
+        ("r\ta\nr\t\n", 2),
+        ("r\ta\n\ta\n", 2),
+        ("x\nr\ta\nx\n", 1),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, text, line):
+        from hde import ParseError
+        path = tmp_path / "dag.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: ") as err:
+            read_edge_list(path)
+        assert err.value.line == line
+
+    def test_comments_only_is_empty(self, tmp_path):
+        path = tmp_path / "dag.tsv"
+        path.write_text("# taxonomy\n  # none yet\n\n")
+        with pytest.raises(EmptyGraphError):
+            read_edge_list(path)
+
     def test_random_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         for k in range(20):

@@ -1,13 +1,16 @@
 """The LevelMap's compiled plan and its kernels against the per-node
 reference loops.
 
-Every variant must give bit-identical output.  The kernels group a level's
-nodes by summation width (k | 7 for k < 128 members, else k) and pad each
-member row up to it with a sentinel that adds only zeros.  numpy sums a one-row gather with 8
-pairwise accumulators and then the k mod 8 tail in order, and a many-row
-gather strictly in order, so in both cases the padding adds only zeros
-after a node's own terms and each per-node sum keeps the reference's
-bits.  Both batch sizes are checked, and so is that numpy rule itself.
+Every variant must give bit-identical output, compared as int64 views so
+that -0.0 and 0.0 differ.  The kernels group a level's nodes by summation
+width (k | 7 for k < 128 members, else k) and pad each member row up to it
+with a sentinel that adds only zeros.  They work node-major: one row is an
+(n,) vector whose (nb, w) gathers numpy sums pairwise, with 8 accumulators
+and then the k mod 8 tail in order; R rows are an (n, R) array whose
+(nb, w, R) gathers numpy sums over the members' axis strictly in order.
+In both cases the padding adds only zeros after a node's own terms and
+each per-node sum keeps the reference's bits.  Both batch sizes are
+checked, and so is that numpy rule itself.
 """
 
 import importlib.util
@@ -24,7 +27,11 @@ from hde import (
     compute_levels,
     evaluate,
     fit_global,
+    htd_correct,
     htd_correct_matrix,
+    iso_tpr_correct,
+    iso_tpr_correct_matrix,
+    tpr_correct,
     tpr_correct_matrix,
 )
 from hde.dag import edge_index_arrays
@@ -97,29 +104,88 @@ def _wide_dags():
 DAGS = _dags() + _wide_dags()
 
 
-@pytest.mark.parametrize("rows", [1, 50])
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [1, 12, 50])
 @pytest.mark.parametrize("case", range(len(DAGS)))
 def test_htd_matches_reference(case, rows):
     dag, lv = DAGS[case]
     y = np.random.default_rng(case).uniform(size=(rows, len(dag)))
-    assert np.array_equal(htd_correct_matrix(dag, lv, y),
-                          ref.htd_matrix(dag, lv, y))
+    assert same_bits(htd_correct_matrix(dag, lv, y),
+                     ref.htd_matrix(dag, lv, y))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 50, 200])
+def _configs(t):
+    """(kw, TprConfig) for each of VARIANTS, with thresholds `t` if used."""
+    for kw in VARIANTS:
+        thresholds = t if kw["positive_selection"] == "threshold" else None
+        yield kw, TprConfig(thresholds=thresholds, **kw)
+
+
+def _assert_tpr_variants_match(dag, lv, y, t):
+    for kw, cfg in _configs(t):
+        assert same_bits(tpr_correct_matrix(dag, lv, y, cfg),
+                         ref.tpr_matrix(dag, lv, y, cfg)), kw
+        assert same_bits(_bottom_up_matrix(dag, lv, y, cfg),
+                         ref.bottom_up_matrix(dag, lv, y, cfg)), kw
+
+
+@pytest.mark.parametrize("rows", [1, 2, 12, 50, 200])
 @pytest.mark.parametrize("case", range(len(DAGS)))
 def test_tpr_variants_match_reference(case, rows):
     dag, lv = DAGS[case]
     rng = np.random.default_rng(100 + case)
     y = rng.uniform(size=(rows, len(dag)))
-    t = rng.uniform(size=len(dag))
-    for kw in VARIANTS:
-        thresholds = t if kw["positive_selection"] == "threshold" else None
-        cfg = TprConfig(thresholds=thresholds, **kw)
-        assert np.array_equal(tpr_correct_matrix(dag, lv, y, cfg),
-                              ref.tpr_matrix(dag, lv, y, cfg)), kw
-        assert np.array_equal(_bottom_up_matrix(dag, lv, y, cfg),
-                              ref.bottom_up_matrix(dag, lv, y, cfg)), kw
+    _assert_tpr_variants_match(dag, lv, y, rng.uniform(size=len(dag)))
+
+
+@pytest.mark.parametrize("rows", [1, 12])
+@pytest.mark.parametrize("case", range(len(DAGS)))
+def test_signed_zeros_and_ties_match_reference(case, rows):
+    """Cells and thresholds drawn from {-0.0, 0.0, 0.5, 1.0}: ties at every
+    comparison, and minima and sums whose sign of zero must carry over."""
+    dag, lv = DAGS[case]
+    rng = np.random.default_rng(300 + case)
+    cells = np.array([-0.0, 0.0, 0.5, 1.0])
+    y = rng.choice(cells, size=(rows, len(dag)))
+    assert same_bits(htd_correct_matrix(dag, lv, y),
+                     ref.htd_matrix(dag, lv, y))
+    _assert_tpr_variants_match(dag, lv, y, rng.choice(cells, size=len(dag)))
+
+
+def _corrections(t):
+    """(name, row function, matrix function, extra arguments) of every
+    public correction."""
+    yield "htd", htd_correct, htd_correct_matrix, ()
+    for kw, cfg in _configs(t):
+        yield f"tpr {kw}", tpr_correct, tpr_correct_matrix, (cfg,)
+    cfg = TprConfig(positive_selection="adaptive")
+    yield "iso-tpr", iso_tpr_correct, iso_tpr_correct_matrix, (cfg,)
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_corrections_leave_input_and_return_fresh_arrays(writeable):
+    """The input, writeable or read-only, is left as it was; the output is
+    a fresh, writeable, C-contiguous float64 array of shape (n,) for a row
+    and (R, n) for a matrix, sharing no memory with the input."""
+    dag, lv = DAGS[0]
+    n = len(dag)
+    rng = np.random.default_rng(9)
+    t = rng.uniform(size=n)
+    for name, row_fn, matrix_fn, extra in _corrections(t):
+        for fn, shape in ((row_fn, (n,)), (matrix_fn, (1, n)),
+                          (matrix_fn, (3, n))):
+            y = rng.uniform(size=shape)
+            y.flags.writeable = writeable
+            before = y.copy()
+            out = fn(dag, lv, y, *extra)
+            assert same_bits(y, before), (name, shape)
+            assert out.shape == shape and out.dtype == np.float64, name
+            assert out.flags.writeable and out.flags.c_contiguous, name
+            assert not np.shares_memory(out, y), (name, shape)
 
 
 @pytest.mark.parametrize("case", range(len(DAGS)))
@@ -159,24 +225,26 @@ def test_plan_blocks_are_padded_width_groups(case):
 
 @pytest.mark.parametrize("rows", [1, 50])
 def test_numpy_sums_keep_bits_when_padded_to_width(rows):
-    """The numpy rule the level plan relies on: a gather summed over its
-    last axis gives the same bits with zeros appended up to k | 7."""
+    """The numpy rule the level plan relies on: a node-major gather, (nb, k)
+    from an (n,) vector or (nb, k, R) from an (n, R) array, summed over its
+    members' axis 1 gives the same bits with zeros appended up to k | 7."""
     rng = np.random.default_rng(rows)
-    src = np.zeros((rows, 401))  # column 400 is the zero pad
-    src[:, :400] = (rng.uniform(size=(rows, 400))
-                    * 10.0 ** rng.integers(-8, 9, size=(rows, 400)))
+    shape = (401,) if rows == 1 else (401, rows)  # row 400 is the zero pad
+    src = np.zeros(shape)
+    src[:400] = (rng.uniform(size=(400, *shape[1:]))
+                 * 10.0 ** rng.integers(-8, 9, size=(400, *shape[1:])))
     for k in range(1, 128):
         for nb in (1, 13):
             idx = rng.integers(0, 400, size=(nb, k))
             padded = np.hstack([idx, np.full((nb, width(k) - k), 400)])
-            assert np.array_equal(src[:, idx].sum(axis=2),
-                                  src[:, padded].sum(axis=2)), (
+            assert same_bits(src[idx].sum(axis=1), src[padded].sum(axis=1)), (
                 f"k={k}, {rows} row(s), {nb} owner(s): numpy no longer sums "
-                "a one-row gather with 8 pairwise accumulators and then the "
-                "k mod 8 tail in order, or a many-row gather strictly in "
-                "order, so zeros padded up to k | 7 change the sum and the "
-                "level plan's width groups (hde.dag._width_blocks) no "
-                "longer keep each node's bits")
+                "an (nb, k) gather of a vector with 8 pairwise accumulators "
+                "and then the k mod 8 tail in order, or an (nb, k, R) "
+                "gather over its middle axis strictly in order, so zeros "
+                "padded up to k | 7 change the sum and the level plan's "
+                "width groups (hde.dag._width_blocks) no longer keep each "
+                "node's bits")
 
 
 PLAN = ("down", "up", "descendants")
