@@ -37,15 +37,15 @@ class Dag:
     The core is integer: each edge's parent and child node indices, each
     node's child indices in edge order, and one first-in first-out Kahn
     pass over them that gives the topological order and every node's
-    max-distance level at once.  A cyclic edge set raises CycleError
-    there.  The name-keyed relatives and the names of the topological
-    order are built on first use.
+    max-distance level at once.  A cyclic edge set raises CycleError there;
+    else the Dag's one LevelMap is built.  Name-keyed relatives and the
+    names of the topological order are built on first use.
     """
 
     __slots__ = (
         "nodes", "edges", "root", "synthetic_root_flag", "_index", "_pi",
         "_ci", "_kid_ix", "_kid_at", "_order_ix", "_level", "_order",
-        "_relatives",
+        "_relatives", "_levels",
     )
 
     def __init__(self, nodes, edges, root, synthetic_root_flag, index, pi, ci):
@@ -85,6 +85,7 @@ class Dag:
         self._relatives = None  # name tuples per node, built on first use
         if len(order) < n:
             raise CycleError(_find_cycle(self))
+        self._levels = LevelMap(self)
 
     def __len__(self):
         return len(self.nodes)
@@ -169,9 +170,10 @@ def edge_index_arrays(dag: Dag):
 class LevelMap:
     """Max-distance levels of one Dag and the plan compiled from them.
 
-    Built by `compute_levels(dag)`, the one object every correction pass of
-    that Dag shares.  It keeps the Dag and `max_level`; everything else is
-    read off the Dag's Kahn levels and index arrays on first use and kept.
+    Each Dag builds its one LevelMap, shared by every pass; get it with
+    `compute_levels(dag)`, as the passes reject any other.  It keeps the
+    Dag's arrays and `max_level`, not the Dag, so no reference cycle forms;
+    the rest is built on first use and kept.
 
     By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
     path and `levels[d]` lists the nodes at distance `d` in node order.
@@ -188,22 +190,24 @@ class LevelMap:
     """
 
     def __init__(self, dag: Dag):
-        self.dag = dag
+        self._nodes, self._level = dag.nodes, dag._level
+        self._pi, self._ci = dag._pi, dag._ci
+        self._kid_ix, self._kid_at = dag._kid_ix, dag._kid_at
         self.max_level = int(dag._level.max())
 
     @cached_property
     def dist(self) -> dict:
-        return dict(zip(self.dag.nodes, self.dag._level.tolist()))
+        return dict(zip(self._nodes, self._level.tolist()))
 
     @cached_property
     def levels(self) -> dict:
-        dag = self.dag
+        nodes = self._nodes
         return dict(enumerate(_named_groups(
-            dag.nodes, dag._level, np.arange(len(dag)), self.max_level + 1)))
+            nodes, self._level, np.arange(len(nodes)), self.max_level + 1)))
 
     @cached_property
     def down(self) -> list:
-        level, pi, ci = self.dag._level, self.dag._pi, self.dag._ci
+        level, pi, ci = self._level, self._pi, self._ci
         max_level = self.max_level
         # nodes by (level, index); edges by (child level, child, edge order)
         nodes = np.argsort(level, kind="stable")
@@ -222,7 +226,7 @@ class LevelMap:
 
     @cached_property
     def up(self) -> list:
-        level, pi, ci = self.dag._level, self.dag._pi, self.dag._ci
+        level, pi, ci = self._level, self._pi, self._ci
         inner = level[pi] > 0  # the root is never blended
         return _width_blocks(level, pi[inner], ci[inner], None)
 
@@ -236,14 +240,13 @@ class LevelMap:
         where dist is the longest node-to-descendant path and d_max the
         largest such dist of the node.
         """
-        dag = self.dag
-        kid_ix, kid_at = dag._kid_ix, dag._kid_at
-        # longest path from each node to each of its descendants, merged
-        # from the children's maps in one sweep in reverse topological
-        # (deepest level first) order; a map is dropped once every parent
-        # has merged it
+        kid_ix, kid_at = self._kid_ix, self._kid_at
+        # longest path from each node to each of its descendants, merged from
+        # the children's maps deepest level first; a map is dropped once every
+        # parent has merged it, and blocks are made per level to keep the
+        # temporaries to one level's cells
         reach = {}
-        pending = np.bincount(dag._ci, minlength=len(dag)).tolist()
+        pending = np.bincount(self._ci, minlength=len(self._nodes)).tolist()
         blocks = []
         for level_nodes, _, _ in reversed(self.down):
             owners, members, lengths, longest = [], [], [], []
@@ -265,7 +268,7 @@ class LevelMap:
                 longest += [max(far.values(), default=0)] * len(desc)
             d_max, dist = np.array(longest), np.array(lengths)
             blocks += _width_blocks(
-                dag._level, np.array(owners, dtype=np.intp),
+                self._level, np.array(owners, dtype=np.intp),
                 np.array(members, dtype=np.intp), (d_max - dist + 1) / d_max)
         return blocks
 
@@ -435,9 +438,10 @@ def compute_levels(dag: Dag) -> LevelMap:
     The Dag's Kahn pass sets dist(root) = 0 and dist(n) = 1 + max over
     parents of dist(parent), each node once its last parent is done: the
     same answer as Bellman-Ford on negated edge weights, in linear instead
-    of quadratic time.  The LevelMap reads them from there.
+    of quadratic time.  Returns the Dag's one LevelMap, built with the Dag,
+    which reads them from there: every call gives the same object.
     """
-    return LevelMap(dag)
+    return dag._levels
 
 
 def _records(path, comments=None):
@@ -445,9 +449,10 @@ def _records(path, comments=None):
     that is neither blank nor a `#` comment, adding comment texts to
     `comments` if given: the text after the `#` and one optional space,
     without the newline, so that writing `# text` reads back as `text`.
-    Not UTF-8: ParseError, no line (text mode decodes in chunks)."""
+    A leading BOM is dropped.  Not UTF-8: ParseError, no line (text mode
+    decodes in chunks)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.lstrip()
                 if not text:
@@ -466,11 +471,12 @@ def read_edge_list(path) -> list:
     """Parse a TSV edge-list file into (parent, child) pairs.
 
     One `parent<TAB>child` pair per line; `#` comment lines and blank
-    lines are ignored.  The file is read whole and split at line feeds
-    only: the lines a text-mode file iterates.
+    lines are ignored, and so is a leading byte-order mark.  The file is
+    read whole and split at line feeds only: the lines a text-mode file
+    iterates.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None

@@ -12,7 +12,7 @@ def _check_aligned(dag: Dag, levels: LevelMap, flat) -> np.ndarray:
     """`flat`, an (R, n) matrix checked against the Dag and levels, in the
     kernels' float64 node-major layout: (n,) for one row, else (n, R)."""
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
-    if levels.dag is not dag:
+    if levels is not dag._levels:  # what compute_levels(dag) returns
         raise AlignmentError("LevelMap was computed from a different Dag")
     if flat.shape[-1] != len(dag):
         raise AlignmentError(

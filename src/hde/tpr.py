@@ -32,6 +32,8 @@ class TprConfig:
     w on the flat side.  descendant modes pool all positive descendants,
     with equal weight ("descendants-constant") or weights decaying linearly
     in the node-to-descendant distance ("descendants-linear").
+    A ThresholdVector as `thresholds` must list the Dag's nodes in order
+    (the passes check its class ids); a plain array is read by position.
     """
 
     positive_selection: str = "threshold"
@@ -45,6 +47,7 @@ class TprConfig:
                              f"{POSITIVE_SELECTIONS}")
         if self.descendant_mode not in DESCENDANT_MODES:
             raise ValueError(f"descendant_mode must be one of {DESCENDANT_MODES}")
+        self._class_ids = tuple(getattr(self.thresholds, "class_ids", ()))
         if self.thresholds is not None:
             t = np.asarray(getattr(self.thresholds, "values", self.thresholds),
                            dtype=np.float64)
@@ -67,7 +70,9 @@ def _bottom_up(dag: Dag, levels: LevelMap, flat: np.ndarray,
     no comparison admits into a positive set, so a pad adds only zeros
     after the node's own terms and each node's sums keep their bits.
     """
-    if cfg.thresholds is not None and cfg.thresholds.shape != (len(dag),):
+    if cfg.thresholds is not None and (
+            cfg.thresholds.shape != (len(dag),)
+            or cfg._class_ids not in ((), dag.nodes)):
         raise AlignmentError("threshold vector not aligned with the taxonomy")
     up = (levels.up if cfg.descendant_mode == "children"
           else levels.descendants)

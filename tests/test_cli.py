@@ -19,6 +19,7 @@ from hde import (
     evaluate,
     fit_global,
     isotonic_project,
+    read_edge_list,
     read_scores,
     read_thresholds,
     write_edge_list,
@@ -549,6 +550,36 @@ class TestInputBoundary:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("E_IO:") and "not UTF-8" in lines[0]
+
+    @pytest.mark.parametrize("reader, target, text", [
+        (read_edge_list, "dag.tsv", DIAMOND),
+        (read_scores, "scores.tsv", "# note\n" + DIAMOND_SCORES),
+        (read_thresholds, "thr.tsv", THRESHOLDS)],
+        ids=["edge-list", "scores", "thresholds"])
+    def test_leading_bom_is_ignored(self, fx, reader, target, text):
+        path = fx / target
+        path.write_text(text, encoding="utf-8")
+        plain = reader(path)
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        with_bom = reader(path)
+        assert repr(with_bom) == repr(plain)
+
+    def test_leading_bom_leaves_correct_output_unchanged(self, fx, capsys):
+        argv = ["correct", "--dag", fx / "dag.tsv", "--scores",
+                fx / "scores.tsv", "--method", "tpr", "--thresholds-file",
+                fx / "thr.tsv"]
+        assert run(*argv) == 0
+        plain = capsys.readouterr().out
+        for name in ("dag.tsv", "scores.tsv", "thr.tsv"):
+            path = fx / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_inner_bom_stays_part_of_the_text(self, tmp_path):
+        path = tmp_path / "dag.tsv"
+        path.write_text("\ufeffr\ta\ufeffb\n\ufeffr\tc\n", encoding="utf-8")
+        assert read_edge_list(path) == [("r", "a\ufeffb"), ("\ufeffr", "c")]
 
     COMMANDS = [
         ["levels"],

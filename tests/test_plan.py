@@ -13,6 +13,7 @@ each per-node sum keeps the reference's bits.  Both batch sizes are
 checked, and so is that numpy rule itself.
 """
 
+import gc
 import importlib.util
 from functools import partial
 from pathlib import Path
@@ -35,6 +36,7 @@ from hde import (
     tpr_correct_matrix,
 )
 from hde.dag import edge_index_arrays
+from hde.errors import AlignmentError
 from hde.scores import ScoreMatrix
 from hde.tpr import _bottom_up_matrix
 
@@ -252,17 +254,43 @@ PLAN = ("down", "up", "descendants")
 
 def test_plan_is_built_once_per_level_map():
     dag, lv = DAGS[0]
+    assert compute_levels(dag) is lv
     plan = [getattr(lv, name) for name in PLAN]
     y = np.random.default_rng(7).uniform(size=(3, len(dag)))
     cfg = TprConfig(positive_selection="adaptive",
                     descendant_mode="descendants-linear")
+    tpr_correct_matrix(dag, compute_levels(dag), y, cfg)
+    htd_correct_matrix(dag, compute_levels(dag), y)
     tpr_correct_matrix(dag, lv, y, cfg)
-    htd_correct_matrix(dag, lv, y)
-    tpr_correct_matrix(dag, lv, y, cfg)
-    assert all(getattr(lv, name) is built for name, built in zip(PLAN, plan))
-    fresh = compute_levels(dag)
-    assert all(getattr(fresh, name) is not built
+    assert compute_levels(dag) is compute_levels(dag)
+    assert all(getattr(compute_levels(dag), name) is built
                for name, built in zip(PLAN, plan))
+    # an equal Dag built again has its own plan, and the two do not mix
+    twin = build_dag(dag.edges)
+    assert twin == dag and compute_levels(twin) is not lv
+    assert all(getattr(compute_levels(twin), name) is not built
+               for name, built in zip(PLAN, plan))
+    with pytest.raises(AlignmentError, match="different Dag"):
+        htd_correct_matrix(twin, lv, y)
+    with pytest.raises(AlignmentError, match="different Dag"):
+        tpr_correct_matrix(dag, compute_levels(twin), y, cfg)
+
+
+def test_dag_and_plan_form_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        dag = build_dag([("r", "a"), ("r", "b"), ("a", "c"), ("b", "c"),
+                         ("c", "d")])
+        y = np.random.default_rng(3).uniform(size=(2, len(dag)))
+        htd_correct_matrix(dag, compute_levels(dag), y)
+        tpr_correct_matrix(dag, compute_levels(dag), y, TprConfig(
+            positive_selection="adaptive",
+            descendant_mode="descendants-linear"))
+        del dag, y
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _bench_generator():
@@ -303,7 +331,7 @@ def test_plan_matches_name_dict_plan_on_bench_taxonomies(workload):
 
 
 def test_plan_is_not_built_by_compute_levels():
-    dag, _ = DAGS[0]
+    dag = build_dag(DAGS[0][0].edges)
     lv = compute_levels(dag)
     assert not set(PLAN) & set(vars(lv))
 

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from hde import (
+    AlignmentError,
+    ThresholdVector,
     TprConfig,
     WeightRangeError,
+    align_thresholds,
     build_dag,
     check_valid_continuous,
     compute_levels,
     htd_correct,
+    iso_tpr_correct,
     tpr_correct,
 )
 from hde.tpr import DESCENDANT_MODES, POSITIVE_SELECTIONS, tpr_correct_matrix
@@ -285,3 +289,30 @@ class TestConfigValidation:
         for bad in (1.2, np.nan):
             with pytest.raises(RangeError):
                 TprConfig(thresholds=np.array([bad]))
+
+
+class TestThresholdVectorOrder:
+    """A ThresholdVector is applied by class: one in another order than the
+    Dag's nodes is rejected, never read by position."""
+
+    # r, a, b, c read by position would admit c (0.6 > 0.5) as positive
+    UNALIGNED = ThresholdVector(["c", "b", "a", "r"],
+                                np.array([0.9, 0.9, 0.9, 0.5]))
+
+    @pytest.mark.parametrize("correct", [
+        tpr_correct, iso_tpr_correct,
+        lambda dag, lv, y, cfg: tpr_correct_matrix(dag, lv, y[None], cfg)])
+    def test_unaligned_vector_is_rejected(self, diamond, correct):
+        dag, lv = diamond
+        cfg = TprConfig(thresholds=self.UNALIGNED)
+        with pytest.raises(AlignmentError, match="threshold vector not "
+                                                 "aligned with the taxonomy"):
+            correct(dag, lv, DIAMOND_Y, cfg)
+
+    def test_aligned_vector_gives_the_positional_bytes(self, diamond):
+        dag, lv = diamond
+        tv = align_thresholds(self.UNALIGNED, dag)
+        out = tpr_correct(dag, lv, DIAMOND_Y, TprConfig(thresholds=tv))
+        plain = tpr_correct(dag, lv, DIAMOND_Y, TprConfig(thresholds=tv.values))
+        assert np.array_equal(out.view(np.int64), plain.view(np.int64))
+        assert out.tolist() == [0.9, 0.5, 0.7, 0.5]
