@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .dag import (
     SYNTHETIC_ROOT,
     Dag,
-    LevelMap,
     build_dag,
     compute_levels,
     read_edge_list,

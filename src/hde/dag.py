@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
 SYNTHETIC_ROOT = "__ROOT__"
 
 class Dag:
-    """Immutable rooted DAG over string class identifiers.
+    """Immutable rooted DAG over string class identifiers, and its level plan.
 
     Build it with :func:`build_dag`, which validates the edge set and adds
     a synthetic root when the input has several roots.  Node order is the
@@ -37,16 +38,25 @@ class Dag:
     The core is integer: each edge's parent and child node indices, each
     node's child indices in edge order, and one first-in first-out Kahn
     pass over them that gives the topological order and every node's
-    max-distance level at once.  A cyclic edge set raises CycleError there;
-    else the Dag's one LevelMap is built.  Name-keyed relatives and the
-    names of the topological order are built on first use.
-    """
+    max-distance level at once.  A cyclic edge set raises CycleError there.
+    Everything else is built on first use and kept: the name-keyed
+    relatives, the names of the topological order, and the level plan that
+    every pass shares (`compute_levels(dag)` is the Dag itself, and the
+    passes reject any other).
 
-    __slots__ = (
-        "nodes", "edges", "root", "synthetic_root_flag", "_index", "_pi",
-        "_ci", "_kid_ix", "_kid_at", "_order_ix", "_level", "_order",
-        "_relatives", "_levels",
-    )
+    By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
+    path and `levels[d]` lists the nodes at distance `d` in node order.
+    The plan is integer: `down` holds, for levels 1..max_level, (nodes,
+    parents, offsets): the level's node indices, their parents' indices
+    concatenated in node order, and where each node's run of parents starts
+    (`reduceat` offsets).  `up` holds blocks (nodes (nb,), children (nb, w),
+    None), deepest level first: the nodes of one level with the same
+    summation width w, children in edge order, each row padded with the
+    sentinel index n (see `_width_blocks`).  Width groups add every per-node
+    sum in the same order, and so with the same rounding, as a loop over
+    single nodes.  The passes index nodes on the first axis of their working
+    arrays (node-major, see `topdown`), so every gather is a plain `W[idx]`.
+    """
 
     def __init__(self, nodes, edges, root, synthetic_root_flag, index, pi, ci):
         """`build_dag`'s: names already interned and checked, `index` maps
@@ -81,11 +91,9 @@ class Dag:
         self._order_ix = order
         self._level = np.array(level, dtype=np.intp)
         self._level.flags.writeable = False
-        self._order = None  # names of the order, built on first use
-        self._relatives = None  # name tuples per node, built on first use
         if len(order) < n:
             raise CycleError(_find_cycle(self))
-        self._levels = LevelMap(self)
+        self.max_level = int(self._level.max())
 
     def __len__(self):
         return len(self.nodes)
@@ -114,94 +122,35 @@ class Dag:
             raise UnknownNodeError(f"unknown node {node!r}") from None
 
     def children(self, node):
-        return self._named()[0][self.index(node)]
+        return self._named[0][self.index(node)]
 
     def parents(self, node):
-        return self._named()[1][self.index(node)]
+        return self._named[1][self.index(node)]
 
+    @cached_property
     def _named(self):
         """(children, parents): per node index, a tuple of names in edge
         order."""
-        if self._relatives is None:
-            n = len(self)
-            self._relatives = (
-                _named_groups(self.nodes, self._pi, self._ci, n),
+        n = len(self)
+        return (_named_groups(self.nodes, self._pi, self._ci, n),
                 _named_groups(self.nodes, self._ci, self._pi, n))
-        return self._relatives
+
+    @cached_property
+    def _order(self):
+        return tuple(map(self.nodes.__getitem__, self._order_ix))
 
     def topological_order(self):
         """Every node once, in a topological order (parents before
         children), kept from the constructor's Kahn pass."""
-        if self._order is None:
-            self._order = tuple(map(self.nodes.__getitem__, self._order_ix))
         return self._order
-
-
-def _edge_ends(index, edges):
-    """(pi, ci): each edge's parent and child position by `index`."""
-    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)),
-                       dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
-    return ends[:, 0].copy(), ends[:, 1].copy()
-
-
-def _csr(key, value, n):
-    """(flat, at): `value`'s entries grouped by `key`, the group of key k
-    being flat[at[k]:at[k + 1]] in input order, for k in 0..n-1."""
-    flat = value[np.argsort(key, kind="stable")].tolist()
-    return flat, [0] + np.cumsum(np.bincount(key, minlength=n)).tolist()
-
-
-def _named_groups(nodes, key, value, n):
-    """For each k in 0..n-1, the names in `nodes` of `value`'s entries whose
-    key is k, as a tuple in input order."""
-    flat, at = _csr(key, value, n)
-    name = nodes.__getitem__
-    return [tuple(map(name, flat[a:b])) for a, b in zip(at, at[1:])]
-
-
-def edge_index_arrays(dag: Dag):
-    """(parent_indices, child_indices) int arrays, one entry per edge.
-
-    Kept by the Dag and shared, so the arrays are read-only.
-    """
-    return dag._pi, dag._ci
-
-
-class LevelMap:
-    """Max-distance levels of one Dag and the plan compiled from them.
-
-    Each Dag builds its one LevelMap, shared by every pass; get it with
-    `compute_levels(dag)`, as the passes reject any other.  It keeps the
-    Dag's arrays and `max_level`, not the Dag, so no reference cycle forms;
-    the rest is built on first use and kept.
-
-    By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
-    path and `levels[d]` lists the nodes at distance `d` in node order.
-    The plan is integer: `down` holds, for levels 1..max_level, (nodes,
-    parents, offsets): the level's node indices, their parents' indices
-    concatenated in node order, and where each node's run of parents starts
-    (`reduceat` offsets).  `up` holds blocks (nodes (nb,), children (nb, w),
-    None), deepest level first: the nodes of one level with the same
-    summation width w, children in edge order, each row padded with the
-    sentinel index n (see `_width_blocks`).  Width groups add every per-node
-    sum in the same order, and so with the same rounding, as a loop over
-    single nodes.  The passes index nodes on the first axis of their working
-    arrays (node-major, see `topdown`), so every gather is a plain `W[idx]`.
-    """
-
-    def __init__(self, dag: Dag):
-        self._nodes, self._level = dag.nodes, dag._level
-        self._pi, self._ci = dag._pi, dag._ci
-        self._kid_ix, self._kid_at = dag._kid_ix, dag._kid_at
-        self.max_level = int(dag._level.max())
 
     @cached_property
     def dist(self) -> dict:
-        return dict(zip(self._nodes, self._level.tolist()))
+        return dict(zip(self.nodes, self._level.tolist()))
 
     @cached_property
     def levels(self) -> dict:
-        nodes = self._nodes
+        nodes = self.nodes
         return dict(enumerate(_named_groups(
             nodes, self._level, np.arange(len(nodes)), self.max_level + 1)))
 
@@ -246,7 +195,7 @@ class LevelMap:
         # parent has merged it, and blocks are made per level to keep the
         # temporaries to one level's cells
         reach = {}
-        pending = np.bincount(self._ci, minlength=len(self._nodes)).tolist()
+        pending = np.bincount(self._ci, minlength=len(self.nodes)).tolist()
         blocks = []
         for level_nodes, _, _ in reversed(self.down):
             owners, members, lengths, longest = [], [], [], []
@@ -285,6 +234,36 @@ class LevelMap:
             out[nodes] = np.minimum(
                 ref[nodes], np.minimum.reduceat(out[parents], offsets))
         return out
+
+
+def _edge_ends(index, edges):
+    """(pi, ci): each edge's parent and child position by `index`."""
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)),
+                       dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)
+    return ends[:, 0].copy(), ends[:, 1].copy()
+
+
+def _csr(key, value, n):
+    """(flat, at): `value`'s entries grouped by `key`, the group of key k
+    being flat[at[k]:at[k + 1]] in input order, for k in 0..n-1."""
+    flat = value[np.argsort(key, kind="stable")].tolist()
+    return flat, [0] + np.cumsum(np.bincount(key, minlength=n)).tolist()
+
+
+def _named_groups(nodes, key, value, n):
+    """For each k in 0..n-1, the names in `nodes` of `value`'s entries whose
+    key is k, as a tuple in input order."""
+    flat, at = _csr(key, value, n)
+    name = nodes.__getitem__
+    return [tuple(map(name, flat[a:b])) for a, b in zip(at, at[1:])]
+
+
+def edge_index_arrays(dag: Dag):
+    """(parent_indices, child_indices) int arrays, one entry per edge.
+
+    Kept by the Dag and shared, so the arrays are read-only.
+    """
+    return dag._pi, dag._ci
 
 
 def _width_blocks(level, owner, member, weight):
@@ -343,6 +322,9 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     "__ROOT__" is reserved: it may appear in the input only as the unique
     root of an already-augmented edge list, so serialization round-trips.
 
+    An identifier must be a string that hde's TSV files carry whole: not
+    blank, with no tab or line break, and not starting with `#` or U+FEFF
+    after any leading blanks, which a reader would skip or strip.
     With `dedup` repeated edges are silently collapsed; otherwise they raise.
     The first offending edge in input order is reported; on one edge a bad
     identifier comes before a self-loop, and a self-loop before a repeat.
@@ -358,13 +340,11 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     # is reported first
     try:
         index = dict.fromkeys(chain.from_iterable(edges))
-        ids_ok = all(isinstance(n, str) and n for n in index)
     except TypeError:  # an unhashable identifier
-        ids_ok = False
+        index = None
     m = len(edges)
-    if not ids_ok:
-        m = next(k for k, (p, c) in enumerate(edges)
-                 if not (isinstance(p, str) and isinstance(c, str) and p and c))
+    if index is None or not _storable(index):
+        m = next(k for k, edge in enumerate(edges) if not _storable(edge))
         index = dict.fromkeys(chain.from_iterable(edges[:m]))
     n = len(index)
     index = dict(zip(index, range(n)))
@@ -381,7 +361,9 @@ def build_dag(edges, dedup: bool = False) -> Dag:
             raise SelfLoopError(f"self-loop on node {p!r}")
         raise DuplicateEdgeError(f"duplicate edge ({p!r}, {c!r})")
     if m < len(edges):
-        raise DagError(f"edge #{m + 1}: identifiers must be non-empty strings")
+        raise DagError(f"edge #{m + 1}: identifiers must be non-blank strings "
+                       "with no tab or line break, not starting with '#' or "
+                       "U+FEFF after any leading blanks")
     if repeat.any():
         keep = np.sort(first)
         edges = [edges[k] for k in keep.tolist()]
@@ -413,6 +395,17 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     return Dag(nodes, edges, root, synthetic, index, pi, ci)
 
 
+def _storable(names) -> bool:
+    """Whether each of `names` is an identifier that `build_dag` accepts:
+    one that starts a line the readers keep (see `_records`) as one field."""
+    try:
+        heads = set(map(itemgetter(0), map(str.lstrip, names)))
+    except (TypeError, IndexError):  # not a string, or blank
+        return False
+    return heads.isdisjoint("#\ufeff") and not any(
+        map("".join(names).__contains__, "\t\n\r"))
+
+
 def _find_cycle(dag):
     """One directed cycle, read off the nodes Kahn's order left out.
 
@@ -432,16 +425,17 @@ def _find_cycle(dag):
     return cycle + cycle[:1]
 
 
-def compute_levels(dag: Dag) -> LevelMap:
+def compute_levels(dag: Dag) -> Dag:
     """Longest-path distance from the root for every node.
 
     The Dag's Kahn pass sets dist(root) = 0 and dist(n) = 1 + max over
     parents of dist(parent), each node once its last parent is done: the
     same answer as Bellman-Ford on negated edge weights, in linear instead
-    of quadratic time.  Returns the Dag's one LevelMap, built with the Dag,
-    which reads them from there: every call gives the same object.
+    of quadratic time.  The Dag is its own level plan, so this returns
+    `dag`: its `dist`, `levels` and `max_level`, and the plan the passes
+    read, are kept on it.
     """
-    return dag._levels
+    return dag
 
 
 def _records(path, comments=None):

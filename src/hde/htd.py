@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dag import Dag, LevelMap
+from .dag import Dag
 from .errors import AlignmentError
 
 
-def _check_aligned(dag: Dag, levels: LevelMap, flat) -> np.ndarray:
+def _check_aligned(dag: Dag, levels: Dag, flat) -> np.ndarray:
     """`flat`, an (R, n) matrix checked against the Dag and levels, in the
     kernels' float64 node-major layout: (n,) for one row, else (n, R)."""
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
-    if levels is not dag._levels:  # what compute_levels(dag) returns
-        raise AlignmentError("LevelMap was computed from a different Dag")
+    if levels is not dag:  # what compute_levels(dag) returns
+        raise AlignmentError("levels were computed from a different Dag")
     if flat.shape[-1] != len(dag):
         raise AlignmentError(
             f"{flat.shape[-1]} scores for a {len(dag)}-node taxonomy")
@@ -25,7 +25,7 @@ def _row_major(out: np.ndarray) -> np.ndarray:
     return out[None] if out.ndim == 1 else np.ascontiguousarray(out.T)
 
 
-def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarray:
+def htd_correct_matrix(dag: Dag, levels: Dag, flat: np.ndarray) -> np.ndarray:
     """Top-down pass over a whole examples x classes matrix.
 
     Visiting nodes by increasing max-distance level, each node's score
@@ -37,7 +37,7 @@ def htd_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray) -> np.ndarr
     return _row_major(levels.topdown(_check_aligned(dag, levels, flat)))
 
 
-def _row(correct_matrix, dag: Dag, levels: LevelMap, flat, *config):
+def _row(correct_matrix, dag: Dag, levels: Dag, flat, *config):
     """`correct_matrix` applied to one 1-D score row aligned with dag.nodes."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.ndim != 1:
@@ -45,6 +45,6 @@ def _row(correct_matrix, dag: Dag, levels: LevelMap, flat, *config):
     return correct_matrix(dag, levels, flat[None, :], *config)[0]
 
 
-def htd_correct(dag: Dag, levels: LevelMap, flat) -> np.ndarray:
+def htd_correct(dag: Dag, levels: Dag, flat) -> np.ndarray:
     """Correct a single score row (1-D array aligned with dag.nodes)."""
     return _row(htd_correct_matrix, dag, levels, flat)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import Dag, LevelMap, edge_index_arrays
+from .dag import Dag, edge_index_arrays
 from .errors import AlignmentError, ConvergenceError
 from .htd import _row
 from .tpr import TprConfig, _bottom_up_matrix
@@ -181,13 +181,13 @@ def _forest_lawson_hanson(z, pi, ci):
     return np.array(yl), steps
 
 
-def iso_tpr_correct(dag: Dag, levels: LevelMap, flat,
+def iso_tpr_correct(dag: Dag, levels: Dag, flat,
                     config: TprConfig) -> np.ndarray:
     """Bottom-up TPR pass, then isotonic projection of the result."""
     return _row(iso_tpr_correct_matrix, dag, levels, flat, config)
 
 
-def iso_tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
+def iso_tpr_correct_matrix(dag: Dag, levels: Dag, flat: np.ndarray,
                            config: TprConfig) -> np.ndarray:
     """ISO-TPR on every row of a score matrix.
 

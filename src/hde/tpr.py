@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import Dag, LevelMap
+from .dag import Dag
 from .errors import AlignmentError, WeightRangeError, check_unit_interval
 from .htd import _check_aligned, _row, _row_major
 
@@ -32,8 +32,9 @@ class TprConfig:
     w on the flat side.  descendant modes pool all positive descendants,
     with equal weight ("descendants-constant") or weights decaying linearly
     in the node-to-descendant distance ("descendants-linear").
-    A ThresholdVector as `thresholds` must list the Dag's nodes in order
-    (the passes check its class ids); a plain array is read by position.
+    `thresholds` is kept as given.  A ThresholdVector must list the Dag's
+    nodes in order (the passes check its class ids each time); a plain
+    array is read by position.
     """
 
     positive_selection: str = "threshold"
@@ -47,19 +48,21 @@ class TprConfig:
                              f"{POSITIVE_SELECTIONS}")
         if self.descendant_mode not in DESCENDANT_MODES:
             raise ValueError(f"descendant_mode must be one of {DESCENDANT_MODES}")
-        self._class_ids = tuple(getattr(self.thresholds, "class_ids", ()))
         if self.thresholds is not None:
-            t = np.asarray(getattr(self.thresholds, "values", self.thresholds),
-                           dtype=np.float64)
-            check_unit_interval(t, "thresholds")
-            self.thresholds = t
+            check_unit_interval(_values(self.thresholds), "thresholds")
         if self.w is not None and not (0.0 <= self.w <= 1.0):
             raise WeightRangeError(f"w must lie in [0, 1], got {self.w}")
         if self.positive_selection == "threshold" and self.thresholds is None:
             raise ValueError("threshold selection requires a threshold vector")
 
 
-def _bottom_up(dag: Dag, levels: LevelMap, flat: np.ndarray,
+def _values(thresholds) -> np.ndarray:
+    """A ThresholdVector's values, or a plain array, as float64."""
+    return np.asarray(getattr(thresholds, "values", thresholds),
+                      dtype=np.float64)
+
+
+def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
                cfg: TprConfig) -> np.ndarray:
     """Phase B on node-major scores; root values are left untouched.
 
@@ -70,14 +73,17 @@ def _bottom_up(dag: Dag, levels: LevelMap, flat: np.ndarray,
     no comparison admits into a positive set, so a pad adds only zeros
     after the node's own terms and each node's sums keep their bits.
     """
-    if cfg.thresholds is not None and (
-            cfg.thresholds.shape != (len(dag),)
-            or cfg._class_ids not in ((), dag.nodes)):
-        raise AlignmentError("threshold vector not aligned with the taxonomy")
+    t = None
+    if cfg.thresholds is not None:
+        t = _values(cfg.thresholds)
+        ids = getattr(cfg.thresholds, "class_ids", dag.nodes)
+        if t.shape != (len(dag),) or tuple(ids) != dag.nodes:
+            raise AlignmentError(
+                "threshold vector not aligned with the taxonomy")
+        t = np.append(t, 0.0)
     up = (levels.up if cfg.descendant_mode == "children"
           else levels.descendants)
     linear = cfg.descendant_mode == "descendants-linear"
-    t = None if cfg.thresholds is None else np.append(cfg.thresholds, 0.0)
     per_node = (..., *[None] * (flat.ndim - 1))  # broadcast over rows
     out = np.concatenate([flat, np.full((1, *flat.shape[1:]), -np.inf)])
     for ni, midx, weights in up:
@@ -104,14 +110,14 @@ def _bottom_up(dag: Dag, levels: LevelMap, flat: np.ndarray,
     return out[:-1]
 
 
-def _bottom_up_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
+def _bottom_up_matrix(dag: Dag, levels: Dag, flat: np.ndarray,
                       config: TprConfig) -> np.ndarray:
     """Phase B of an (R, n) score matrix, as an (R, n) matrix."""
     return _row_major(_bottom_up(dag, levels, _check_aligned(dag, levels, flat),
                                  config))
 
 
-def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
+def tpr_correct_matrix(dag: Dag, levels: Dag, flat: np.ndarray,
                        config: TprConfig) -> np.ndarray:
     """Full TPR correction (any variant, per `config`) of a score matrix.
 
@@ -121,6 +127,6 @@ def tpr_correct_matrix(dag: Dag, levels: LevelMap, flat: np.ndarray,
     return _row_major(levels.topdown(_bottom_up(dag, levels, flat, config)))
 
 
-def tpr_correct(dag: Dag, levels: LevelMap, flat, config: TprConfig) -> np.ndarray:
+def tpr_correct(dag: Dag, levels: Dag, flat, config: TprConfig) -> np.ndarray:
     """Full TPR correction (any variant, per `config`) of one score row."""
     return _row(tpr_correct_matrix, dag, levels, flat, config)

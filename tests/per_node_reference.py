@@ -20,9 +20,8 @@ percentile fit: `test_scores.py` and `test_thresholds.py` require
 loop over the edges, child and parent dicts of tuples, Kahn's algorithm and
 the longest-path levels on names.  `plan_by_name` compiles its levels into
 the level plan's arrays, walking descendants through those dicts.
-`test_dag.py` and `test_plan.py` require `build_dag` and the `LevelMap`
-of `compute_levels` (its name views and plan arrays) to give what they
-give.
+`test_dag.py` and `test_plan.py` require `build_dag` and the Dag's
+level plan (its name views and plan arrays) to give what they give.
 """
 
 import warnings
@@ -70,11 +69,18 @@ def positive_children(dag, node, current, flat, config):
     out = []
     for c in dag.children(node):
         j = dag.index(c)
-        cutoff = (config.thresholds[j] if config.positive_selection == "threshold"
+        cutoff = (_threshold_values(config)[j]
+                  if config.positive_selection == "threshold"
                   else flat[dag.index(node)])
         if current[j] > cutoff:
             out.append(c)
     return tuple(out)
+
+
+def _threshold_values(config):
+    """The config's thresholds by position: a ThresholdVector's values or
+    the plain array itself."""
+    return np.asarray(getattr(config.thresholds, "values", config.thresholds))
 
 
 def sub_dag_distances(dag, node):
@@ -91,7 +97,7 @@ def sub_dag_distances(dag, node):
 
 def bottom_up_matrix(dag, levels, flat, cfg):
     out = flat.copy()
-    t = cfg.thresholds
+    t = _threshold_values(cfg)
     for d in range(levels.max_level, 0, -1):
         for n in levels.levels[d]:
             i = dag.index(n)
@@ -249,6 +255,16 @@ def fit_percentile_loop(train_scores, train_labels, k):
     return ThresholdVector(list(train_scores.class_ids), out, "percentile")
 
 
+def _kept_id(name):
+    """Whether a line that starts with `name` is kept by the TSV readers
+    and `name` is one whole field of it."""
+    if not isinstance(name, str):
+        return False
+    text = name.lstrip()
+    return (text != "" and text[0] not in "#\ufeff"
+            and not any(ch in name for ch in "\t\n\r"))
+
+
 def build_by_name(edges, dedup=False):
     """What `build_dag(edges, dedup)` and `compute_levels` give, or raise,
     as a namespace: nodes, edges, root, synthetic, order (Kahn's,
@@ -260,9 +276,11 @@ def build_by_name(edges, dedup=False):
     seen = set()
     clean = []
     for k, (p, c) in enumerate(edges):
-        if not isinstance(p, str) or not isinstance(c, str) or not p or not c:
+        if not (_kept_id(p) and _kept_id(c)):
             raise DagError(
-                f"edge #{k + 1}: identifiers must be non-empty strings")
+                f"edge #{k + 1}: identifiers must be non-blank strings "
+                "with no tab or line break, not starting with '#' or "
+                "U+FEFF after any leading blanks")
         if p == c:
             raise SelfLoopError(f"self-loop on node {p!r}")
         if (p, c) in seen:

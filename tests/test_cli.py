@@ -529,7 +529,9 @@ def fuzzed(valid):
 
 
 class TestInputBoundary:
-    """Every input file goes through one reader: a bad file is one E_ line."""
+    """The edge list is read whole and the other inputs line by line, but
+    every input file is UTF-8 with a leading BOM dropped and `#` comment and
+    blank lines skipped, and a bad file is one E_ line."""
 
     @pytest.mark.parametrize("target, argv", [
         ("dag.tsv", ["levels"]),
@@ -580,6 +582,22 @@ class TestInputBoundary:
         path = tmp_path / "dag.tsv"
         path.write_text("\ufeffr\ta\ufeffb\n\ufeffr\tc\n", encoding="utf-8")
         assert read_edge_list(path) == [("r", "a\ufeffb"), ("\ufeffr", "c")]
+
+    @pytest.mark.parametrize("argv", [
+        ["levels"],
+        ["fit-thresholds", "--scores", "scores.tsv", "--labels",
+         "labels.tsv", "--strategy", "fscore"]])
+    def test_identifier_a_file_cannot_carry_is_io_error(self, fx, capsys,
+                                                        argv):
+        """A child `#a` would start a thresholds line that reads back as a
+        comment, so the taxonomy is refused before anything is written."""
+        (fx / "dag.tsv").write_text("r\t#a\n")
+        argv = [fx / a if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, "--dag", fx / "dag.tsv") == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("E_IO: edge #1: ")
 
     COMMANDS = [
         ["levels"],

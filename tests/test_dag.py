@@ -1,3 +1,5 @@
+import os
+import tempfile
 from functools import partial
 
 import numpy as np
@@ -11,15 +13,21 @@ from hde import (
     DagError,
     DuplicateEdgeError,
     EmptyGraphError,
+    ScoreMatrix,
     SelfLoopError,
+    ThresholdVector,
     TprConfig,
     UnknownNodeError,
     build_dag,
     compute_levels,
     htd_correct_matrix,
     read_edge_list,
+    read_scores,
+    read_thresholds,
     tpr_correct_matrix,
     write_edge_list,
+    write_scores,
+    write_thresholds,
 )
 
 from conftest import random_dag
@@ -266,8 +274,10 @@ class TestEdgeListIO:
 
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
-# identifiers build_dag must refuse, one of them unhashable
-BAD_IDS = ["", 0, None, b"a", ("a",), ["a"]]
+# identifiers build_dag must refuse, one of them unhashable: not strings,
+# or strings that the TSV files hde writes would not carry whole
+BAD_IDS = ["", 0, None, b"a", ("a",), ["a"], " ", "#a", " \t#a", "\ufeffa",
+           "a\tb", "a\nb", "a\r"]
 
 
 @st.composite
@@ -334,6 +344,33 @@ def test_build_matches_name_dict_build(case):
         assert dag.parents(n) == ref.parents[n]
 
 
+# characters that the readers treat specially, or might
+SPECIAL = st.sampled_from("#\ufeff \t\n\r\x0b\x0c\x1c\x85\u2028\"'")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(names=st.lists(
+    st.text(st.sampled_from("ab") | st.characters() | SPECIAL,
+            min_size=1, max_size=4),
+    min_size=2, max_size=4, unique=True))
+def test_accepted_identifiers_round_trip(names):
+    """Every identifier build_dag accepts comes back whole from each TSV
+    file hde writes: an edge list, a thresholds file and a scores header."""
+    try:
+        dag = build_dag(list(zip(names, names[1:])))
+    except DagError:
+        return
+    values = np.linspace(0.0, 1.0, len(dag))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.tsv")
+        write_edge_list(dag, path)
+        assert read_edge_list(path) == list(dag.edges)
+        write_thresholds(ThresholdVector(list(dag.nodes), values), path)
+        assert read_thresholds(path).class_ids == list(dag.nodes)
+        write_scores(ScoreMatrix(["x"], list(dag.nodes), values[None]), path)
+        assert read_scores(path).class_ids == list(dag.nodes)
+
+
 def test_name_dicts_not_built_by_setup():
     """Set-up and every pass read the Dag's index arrays only: the
     name-keyed relatives, order and levels are built on first use, once."""
@@ -345,10 +382,10 @@ def test_name_dicts_not_built_by_setup():
     tpr_correct_matrix(dag, lv, y, TprConfig(thresholds=np.full(len(dag), 0.5)))
     tpr_correct_matrix(dag, lv, y, TprConfig(
         positive_selection="adaptive", descendant_mode="descendants-linear"))
-    assert dag._relatives is None and dag._order is None
-    assert not {"dist", "levels"} & set(vars(lv))
-    dist, levels = lv.dist, lv.levels
-    assert lv.dist is dist and lv.levels is levels
+    lazy = ("_named", "_order", "dist", "levels")
+    assert not set(lazy) & set(vars(dag))
+    built = [getattr(dag, name) for name in lazy]
+    assert all(getattr(dag, name) is b for name, b in zip(lazy, built))
 
 
 class TestTopologicalOrder:

@@ -1,4 +1,4 @@
-"""The LevelMap's compiled plan and its kernels against the per-node
+"""The Dag's compiled level plan and its kernels against the per-node
 reference loops.
 
 Every variant must give bit-identical output, compared as int64 views so
@@ -254,7 +254,7 @@ PLAN = ("down", "up", "descendants")
 
 def test_plan_is_built_once_per_level_map():
     dag, lv = DAGS[0]
-    assert compute_levels(dag) is lv
+    assert compute_levels(dag) is lv is dag
     plan = [getattr(lv, name) for name in PLAN]
     y = np.random.default_rng(7).uniform(size=(3, len(dag)))
     cfg = TprConfig(positive_selection="adaptive",

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -308,6 +309,16 @@ class TestThresholdVectorOrder:
         with pytest.raises(AlignmentError, match="threshold vector not "
                                                  "aligned with the taxonomy"):
             correct(dag, lv, DIAMOND_Y, cfg)
+
+    def test_replaced_config_keeps_the_vector(self, diamond):
+        """A copy made by `dataclasses.replace` holds the vector, not its
+        values, so it is rejected too."""
+        dag, lv = diamond
+        cfg = replace(TprConfig(thresholds=self.UNALIGNED), w=None)
+        assert cfg.thresholds is self.UNALIGNED
+        with pytest.raises(AlignmentError, match="threshold vector not "
+                                                 "aligned with the taxonomy"):
+            tpr_correct(dag, lv, DIAMOND_Y, cfg)
 
     def test_aligned_vector_gives_the_positional_bytes(self, diamond):
         dag, lv = diamond
