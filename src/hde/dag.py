@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -35,14 +35,15 @@ class Dag:
     first-appearance order in the (possibly augmented) edge list and is
     used everywhere determinism matters.
 
-    The core is integer: each edge's parent and child node indices, each
-    node's child indices in edge order, and one first-in first-out Kahn
-    pass over them that gives the topological order and every node's
-    max-distance level at once.  A cyclic edge set raises CycleError there.
-    Everything else is built on first use and kept: the name-keyed
-    relatives, the names of the topological order, and the level plan that
-    every pass shares (`compute_levels(dag)` is the Dag itself, and the
-    passes reject any other).
+    The core is integer: the node names once, each edge's parent and child
+    node indices (the Dag's only copy of its edges), and the topological
+    order and every node's max-distance level, both from one first-in
+    first-out Kahn pass over the edges.  A cyclic edge set raises
+    CycleError there.  Everything else is built on first use and kept: the
+    `edges` name pairs, the name-keyed relatives, the names of the
+    topological order, and the level plan that every pass shares
+    (`compute_levels(dag)` is the Dag itself, and the passes reject any
+    other).
 
     By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
     path and `levels[d]` lists the nodes at distance `d` in node order.
@@ -58,12 +59,11 @@ class Dag:
     arrays (node-major, see `topdown`), so every gather is a plain `W[idx]`.
     """
 
-    def __init__(self, nodes, edges, root, synthetic_root_flag, index, pi, ci):
+    def __init__(self, nodes, root, synthetic_root_flag, index, pi, ci):
         """`build_dag`'s: names already interned and checked, `index` maps
         each node to its position in `nodes`, `pi`/`ci` hold each edge's
-        parent and child positions."""
+        parent and child positions, the Dag's only copy of its edges."""
         self.nodes = nodes = tuple(nodes)
-        self.edges = tuple(edges)
         self.root = root
         self.synthetic_root_flag = synthetic_root_flag
         self._index = index
@@ -72,7 +72,7 @@ class Dag:
         self._pi, self._ci = pi, ci
         n = len(nodes)
         # each node's children in edge order: kid_ix[kid_at[v]:kid_at[v + 1]]
-        self._kid_ix, self._kid_at = kid_ix, kid_at = _csr(pi, ci, n)
+        kid_ix, kid_at = _csr(pi, ci, n)
         # Kahn's algorithm, first in first out; a node is appended once its
         # last parent is done, so its level is final by then.  The nodes on
         # or below a cycle are left out.
@@ -88,9 +88,11 @@ class Dag:
                 indeg[c] -= 1
                 if not indeg[c]:
                     order.append(c)
-        self._order_ix = order
+        # kept as arrays: the Python int lists would cost about 36 bytes
+        # per entry for the Dag's lifetime
+        self._order_ix = np.array(order, dtype=np.intp)
         self._level = np.array(level, dtype=np.intp)
-        self._level.flags.writeable = False
+        self._order_ix.flags.writeable = self._level.flags.writeable = False
         if len(order) < n:
             raise CycleError(_find_cycle(self))
         self.max_level = int(self._level.max())
@@ -104,15 +106,17 @@ class Dag:
     def __eq__(self, other):
         if not isinstance(other, Dag):
             return NotImplemented
-        return (self.nodes == other.nodes and self.edges == other.edges
-                and self.root == other.root
-                and self.synthetic_root_flag == other.synthetic_root_flag)
+        return (self.nodes == other.nodes and self.root == other.root
+                and self.synthetic_root_flag == other.synthetic_root_flag
+                and np.array_equal(self._pi, other._pi)
+                and np.array_equal(self._ci, other._ci))
 
     def __hash__(self):
-        return hash((self.nodes, self.edges, self.root))
+        return hash((self.nodes, self._pi.tobytes(), self._ci.tobytes(),
+                     self.root))
 
     def __repr__(self):
-        return (f"Dag({len(self.nodes)} nodes, {len(self.edges)} edges, "
+        return (f"Dag({len(self.nodes)} nodes, {len(self._pi)} edges, "
                 f"root={self.root!r})")
 
     def index(self, node):
@@ -128,6 +132,14 @@ class Dag:
         return self._named[1][self.index(node)]
 
     @cached_property
+    def edges(self) -> tuple:
+        """(parent, child) name pairs in input order after dedup, synthetic
+        root edges last; built from the index arrays on first use."""
+        name = self.nodes.__getitem__
+        return tuple(zip(map(name, self._pi.tolist()),
+                         map(name, self._ci.tolist())))
+
+    @cached_property
     def _named(self):
         """(children, parents): per node index, a tuple of names in edge
         order."""
@@ -137,7 +149,7 @@ class Dag:
 
     @cached_property
     def _order(self):
-        return tuple(map(self.nodes.__getitem__, self._order_ix))
+        return tuple(map(self.nodes.__getitem__, self._order_ix.tolist()))
 
     def topological_order(self):
         """Every node once, in a topological order (parents before
@@ -189,7 +201,7 @@ class Dag:
         where dist is the longest node-to-descendant path and d_max the
         largest such dist of the node.
         """
-        kid_ix, kid_at = self._kid_ix, self._kid_at
+        kid_ix, kid_at = _csr(self._pi, self._ci, len(self.nodes))
         # longest path from each node to each of its descendants, merged from
         # the children's maps deepest level first; a map is dropped once every
         # parent has merged it, and blocks are made per level to keep the
@@ -366,7 +378,6 @@ def build_dag(edges, dedup: bool = False) -> Dag:
                        "U+FEFF after any leading blanks")
     if repeat.any():
         keep = np.sort(first)
-        edges = [edges[k] for k in keep.tolist()]
         pi, ci = pi[keep], ci[keep]
 
     nodes = list(index)
@@ -380,7 +391,6 @@ def build_dag(edges, dedup: bool = False) -> Dag:
             raise DagError(
                 f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root "
                 "but appears in a multi-root edge list")
-        edges += [(SYNTHETIC_ROOT, nodes[r]) for r in roots]
         index[SYNTHETIC_ROOT] = n
         nodes.append(SYNTHETIC_ROOT)
         pi = np.concatenate([pi, np.full(len(roots), n, dtype=np.intp)])
@@ -392,7 +402,7 @@ def build_dag(edges, dedup: bool = False) -> Dag:
             f"node {SYNTHETIC_ROOT!r} is reserved for the synthetic root")
     # otherwise a lone "__ROOT__" root is the round-trip of an augmented graph
 
-    return Dag(nodes, edges, root, synthetic, index, pi, ci)
+    return Dag(nodes, root, synthetic, index, pi, ci)
 
 
 def _storable(names) -> bool:
@@ -404,6 +414,17 @@ def _storable(names) -> bool:
         return False
     return heads.isdisjoint("#\ufeff") and not any(
         map("".join(names).__contains__, "\t\n\r"))
+
+
+def _readable(labels) -> bool:
+    """Whether each of `labels` (strings) comes back whole as the first
+    field of a row that hde writes below a header line: `_storable`'s rule
+    without the two cases only an edge list needs, so a blank label (two
+    blank names make a blank edge-list line) and a leading U+FEFF (lost
+    only at the start of a file) pass."""
+    return not any(map(methodcaller("startswith", "#"),
+                       map(str.lstrip, labels))) and not any(
+        map("".join(labels).__contains__, "\t\n\r"))
 
 
 def _find_cycle(dag):
@@ -484,6 +505,7 @@ def read_edge_list(path) -> list:
                    if len(parts := line.split("\t")) != 2 or "" in parts)
         raise ParseError("expected 'parent<TAB>child'",
                          line=lines.index(bad) + 1)
+    del lines, kept  # the line strings go before the pairs are built
     return list(zip(fields[0::2], fields[1::2]))
 
 

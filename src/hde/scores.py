@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import Dag, _records, edge_index_arrays
+from .dag import Dag, _readable, _records, edge_index_arrays
 from .errors import (
     AlignmentError,
+    HdeError,
     MissingClassError,
     ParseError,
     RangeError,
@@ -121,11 +122,13 @@ def _violations(dag: Dag, values: np.ndarray, eps: float = 0.0):
     """Yield (row, parent, child, parent score, child score) for every
     violation in a 2-D score matrix, row by row, in edge order in a row."""
     pi, ci = edge_index_arrays(dag)
+    names = dag.nodes
     for i, bad in enumerate(_violation_mask(dag, values, eps)):
         ks = np.flatnonzero(bad)
-        for k, ps, cs in zip(ks.tolist(), values[i, pi[ks]].tolist(),
-                             values[i, ci[ks]].tolist()):
-            yield (i, *dag.edges[k], ps, cs)
+        p, c = pi[ks], ci[ks]
+        for a, b, ps, cs in zip(p.tolist(), c.tolist(), values[i, p].tolist(),
+                                values[i, c].tolist()):
+            yield (i, names[a], names[b], ps, cs)
 
 
 def _check_rows_in_range(values: np.ndarray, linenos) -> None:
@@ -204,10 +207,21 @@ def read_scores(path) -> ScoreMatrix:
     return ScoreMatrix(example_ids, header, values, comments=comments)
 
 
-def _write_rows(fh, labels, values, digits: int | None = None) -> None:
-    """One `label<TAB>cell...` line per row of a 2-D float array.  In each
-    block of about 4096 cells, each distinct float64 bit pattern (so -0.0
-    apart from 0.0) is formatted once."""
+def _write_rows(fh, labels, values, digits: int | None = None,
+                head: str = "") -> None:
+    """`head`, then one `label<TAB>cell...` line per row of a 2-D float
+    array.  A label (as str) that would not read back as its row's first
+    field (see `dag._readable`) is an HdeError naming the first such label,
+    raised before anything is written.  In each block of about 4096 cells,
+    each distinct float64 bit pattern (so -0.0 apart from 0.0) is formatted
+    once."""
+    names = list(map(str, labels))
+    if not _readable(names):
+        bad = next(t for t in names if not _readable([t]))
+        raise HdeError(f"row label {bad!r} would not read back: it starts "
+                       "with '#' after any leading blanks or holds a tab or "
+                       "line break")
+    fh.write(head)
     fmt = repr if digits is None else f"{{:.{digits}f}}".format
     step = max(1, 4096 // max(values.shape[1], 1))
     for i in range(0, len(values), step):
@@ -216,17 +230,16 @@ def _write_rows(fh, labels, values, digits: int | None = None) -> None:
         texts = np.fromiter(map(fmt, bits.view(np.float64).tolist()), object)
         rows = texts[inv].reshape(block.shape).tolist()
         fh.write("".join([f"{lab}\t" + "\t".join(cells) + "\n"
-                          for lab, cells in zip(labels[i:i + step], rows)]))
+                          for lab, cells in zip(names[i:i + step], rows)]))
 
 
 def write_scores_stream(matrix: ScoreMatrix, fh, digits: int | None = None) -> None:
     """Write a scores TSV to an open text stream.  A cell is Python's
     shortest round-trip repr, or `{:.Kf}` for digits=K, and -0.0 stays
     -0.0; the bytes do not depend on how the writer batches cells."""
-    for c in matrix.comments:
-        fh.write(f"# {c}\n")
-    fh.write("example\t" + "\t".join(matrix.class_ids) + "\n")
-    _write_rows(fh, matrix.example_ids, matrix.values, digits)
+    head = "".join(f"# {c}\n" for c in matrix.comments)
+    head += "example\t" + "\t".join(matrix.class_ids) + "\n"
+    _write_rows(fh, matrix.example_ids, matrix.values, digits, head)
 
 
 def write_scores(matrix: ScoreMatrix, path, digits: int | None = None) -> None:

@@ -238,8 +238,8 @@ def read_thresholds(path) -> ThresholdVector:
 
 
 def write_thresholds_stream(tv: ThresholdVector, fh) -> None:
-    fh.write(f"# strategy: {tv.strategy_tag}\n")
-    _write_rows(fh, tv.class_ids, tv.values[:, None])
+    _write_rows(fh, tv.class_ids, tv.values[:, None],
+                head=f"# strategy: {tv.strategy_tag}\n")
 
 
 def write_thresholds(tv: ThresholdVector, path) -> None:

@@ -1,5 +1,7 @@
+import gc
 import os
 import tempfile
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -19,7 +21,9 @@ from hde import (
     TprConfig,
     UnknownNodeError,
     build_dag,
+    check_valid_continuous,
     compute_levels,
+    count_violations,
     htd_correct_matrix,
     read_edge_list,
     read_scores,
@@ -371,9 +375,82 @@ def test_accepted_identifiers_round_trip(names):
         assert read_scores(path).class_ids == list(dag.nodes)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                      .filter(lambda e: e[0] < e[1]), min_size=1, max_size=20),
+       data=st.data())
+def test_edges_are_the_deduped_input_then_root_edges(pairs, data):
+    """`dag.edges`, built from the index arrays, is the input after dedup
+    in first-occurrence order, then one synthetic-root edge per root; `==`
+    and `hash` follow (nodes, edges, root, flag), and the edge list file
+    round-trips."""
+    edges = [[f"n{p}", f"n{c}"] if k % 3 == 0 else (f"n{p}", f"n{c}")
+             for k, (p, c) in enumerate(pairs)]
+    dag = build_dag(edges, dedup=True)
+    deduped = list(dict.fromkeys(map(tuple, edges)))
+    children = {c for _, c in deduped}
+    roots = [n for n in dict.fromkeys(x for e in deduped for x in e)
+             if n not in children]
+    want = deduped + ([("__ROOT__", r) for r in roots] if len(roots) > 1
+                      else [])
+    assert type(dag.edges) is tuple and dag.edges == tuple(want)
+    assert all(type(e) is tuple and len(e) == 2
+               and all(type(x) is str for x in e) for e in dag.edges)
+    assert dag.edges is dag.edges
+
+    def key(d):
+        return d.nodes, d.edges, d.root, d.synthetic_root_flag
+
+    shuffled = data.draw(st.permutations(deduped))
+    for other in (build_dag(edges, dedup=True), build_dag(dag.edges),
+                  build_dag(shuffled)):
+        assert (other == dag) == (key(other) == key(dag))
+        if other == dag:
+            assert hash(other) == hash(dag)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dag.tsv")
+        write_edge_list(dag, path)
+        back = read_edge_list(path)
+        assert back == list(dag.edges) and build_dag(back) == dag
+
+
+def _go_like_edge_file(path, n, seed):
+    """A GO-like taxonomy of `n` classes: a random recursive tree plus about
+    `n` forward cross-edges, written as an edge list."""
+    rng = np.random.default_rng(seed)
+    child = np.concatenate([np.arange(1, n), rng.integers(1, n, size=n)])
+    parent = (rng.random(len(child)) * child).astype(np.intp)
+    pairs = dict.fromkeys(zip(parent.tolist(), child.tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"GO:{p:07d}\tGO:{c:07d}\n" for p, c in pairs)
+
+
+def test_dag_keeps_less_than_its_edge_list(tmp_path):
+    """The Dag holds its names once and its edges as index arrays, and
+    reading an edge list frees its lines before it builds the pairs.
+    Traced allocations (tracemalloc) on a fixed 5k-class taxonomy."""
+    path = tmp_path / "go.tsv"
+    _go_like_edge_file(path, 5000, seed=23)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        edges = read_edge_list(path)
+        size, read_peak = tracemalloc.get_traced_memory()
+        dag = build_dag(edges)
+        del edges
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(dag.nodes) == 5000
+    assert read_peak < 1.5 * size
+    assert kept < size
+
+
 def test_name_dicts_not_built_by_setup():
-    """Set-up and every pass read the Dag's index arrays only: the
-    name-keyed relatives, order and levels are built on first use, once."""
+    """Set-up, every pass and the violation checks read the Dag's index
+    arrays only: the edge name pairs, name-keyed relatives, order and
+    levels are built on first use, once."""
     rng = np.random.default_rng(16)
     dag = build_dag(random_dag(rng, 40).edges)
     lv = compute_levels(dag)
@@ -382,7 +459,9 @@ def test_name_dicts_not_built_by_setup():
     tpr_correct_matrix(dag, lv, y, TprConfig(thresholds=np.full(len(dag), 0.5)))
     tpr_correct_matrix(dag, lv, y, TprConfig(
         positive_selection="adaptive", descendant_mode="descendants-linear"))
-    lazy = ("_named", "_order", "dist", "levels")
+    assert check_valid_continuous(dag, y[0]).violations
+    assert count_violations(dag, y)
+    lazy = ("edges", "_named", "_order", "dist", "levels")
     assert not set(lazy) & set(vars(dag))
     built = [getattr(dag, name) for name in lazy]
     assert all(getattr(dag, name) is b for name, b in zip(lazy, built))

@@ -1,4 +1,6 @@
+import io
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from hde import (
     AlignmentError,
+    HdeError,
     MissingClassError,
     ParseError,
     RangeError,
@@ -21,6 +24,7 @@ from hde import (
     read_scores,
     write_scores,
 )
+from hde.scores import write_scores_stream
 
 import per_node_reference as ref
 from conftest import random_dag
@@ -176,6 +180,27 @@ class TestScoresIO:
         path = tmp_path / "s.tsv"
         write_scores(m, path, digits=3)
         assert read_scores(path).values[0, 0] == 0.123
+
+    @pytest.mark.parametrize("bad", ["#x", "  #x", "x\ty", "x\ny", "x\ry"])
+    def test_unreadable_example_id_refused_before_writing(self, bad):
+        # a row led by `#` would read back as a comment, and a tab or line
+        # break would split the id
+        m = ScoreMatrix(["a", bad, "#z"], ["r", "c"],
+                        [[0.9, 0.5], [0.9, 0.5], [0.9, 0.5]],
+                        comments=["note"])
+        fh = io.StringIO()
+        with pytest.raises(HdeError, match=re.escape(repr(bad))):
+            write_scores_stream(m, fh)
+        assert fh.getvalue() == ""
+
+    def test_blank_led_and_blank_example_ids_round_trip(self, tmp_path):
+        # a row is never a file's first line, so a blank id and a leading
+        # U+FEFF read back too
+        ids = [" x", "a b", "x #", "", "  ", "\ufeffx"]
+        m = ScoreMatrix(ids, ["r", "c"], np.linspace(0, 1, 12).reshape(6, 2))
+        path = tmp_path / "s.tsv"
+        write_scores(m, path)
+        assert read_scores(path) == m
 
 
 UNIT_FLOATS = st.one_of(

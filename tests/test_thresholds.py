@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hde import (
     AlignmentError,
     EmptyGridError,
+    HdeError,
     NoPositivesWarning,
     ParseError,
     RangeError,
@@ -295,6 +296,21 @@ class TestThresholdIO:
         back = read_thresholds(path)
         assert back.class_ids == tv.class_ids
         assert np.array_equal(back.values, tv.values)
+
+    def test_unreadable_class_id_refused_before_writing(self, tmp_path):
+        # `#a` would read back as a comment, leaving only `r`
+        tv = ThresholdVector(["r", "#a"], np.array([1.0, 0.5]), "fscore")
+        path = tmp_path / "t.tsv"
+        with pytest.raises(HdeError, match="'#a'"):
+            write_thresholds(tv, path)
+        assert path.read_text(encoding="utf-8") == ""
+
+    def test_blank_led_class_ids_round_trip(self, tmp_path):
+        tv = ThresholdVector(["r", " a", "b c"], np.array([1.0, 0.5, 0.25]),
+                             "fscore")
+        path = tmp_path / "t.tsv"
+        write_thresholds(tv, path)
+        assert read_thresholds(path).class_ids == tv.class_ids
 
     def test_tied_values_write_as_one_at_a_time(self, tmp_path):
         # 9000 classes span three of the writer's 4096-cell blocks
