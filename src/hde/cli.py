@@ -1,6 +1,7 @@
 """Batch command line interface over TSV files.
 
-Subcommands: correct, levels, validate, fit-thresholds, eval.
+Subcommands: correct, levels, validate, fit-thresholds, eval.  Each returns
+its exit code and its output's writer, which `main` runs on -o or stdout.
 Exit codes: 0 success/valid, 1 validation failure, 2 I/O or parse error,
 3 parameter error, 4 convergence error.  Errors go to stderr as one
 machine-parsable line (`E_IO: ...`, `E_PARAM: ...`, `E_CONVERGENCE: ...`),
@@ -16,6 +17,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from ._tsv import _emit, _write_rows
 from .dag import build_dag, compute_levels, read_edge_list
 from .errors import (
     ConvergenceError,
@@ -29,7 +31,6 @@ from .iso import iso_tpr_correct_matrix
 from .scores import (
     ScoreMatrix,
     _violations,
-    _write_rows,
     align_to_dag,
     read_scores,
     write_scores_stream,
@@ -61,14 +62,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _ParamError(message)
-
-
-def _emit(path, write):
-    if path in (None, "-"):
-        write(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            write(fh)
 
 
 def _check_range(option, value, lo, hi):
@@ -107,7 +100,7 @@ def _build_config(args, dag):
                      descendant_mode=mode)
 
 
-def cmd_correct(args) -> int:
+def cmd_correct(args):
     if args.digits is not None:
         _check_range("--digits", args.digits, 0, MAX_DIGITS)
     if (args.w is not None) != (args.method == "tpr-w"):
@@ -134,21 +127,17 @@ def cmd_correct(args) -> int:
     comments.append(f"corrected with method={args.method}")
     out = ScoreMatrix(matrix.example_ids, matrix.class_ids,
                       np.clip(corrected, 0.0, 1.0), comments=comments)
-    _emit(args.output, lambda fh: write_scores_stream(out, fh, args.digits))
-    return 0
+    return 0, lambda fh: write_scores_stream(out, fh, args.digits)
 
 
-def cmd_levels(args) -> int:
+def cmd_levels(args):
     dag = _load_dag(args)
     levels = compute_levels(dag)
-    def write(fh):
-        for n in dag.nodes:
-            fh.write(f"{n}\t{levels.dist[n]}\n")
-    _emit(args.output, write)
-    return 0
+    return 0, lambda fh: fh.write(
+        "".join(f"{n}\t{levels.dist[n]}\n" for n in dag.nodes))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     if not np.isfinite(args.eps):
         raise _ParamError("--eps must be finite")
     dag = _load_dag(args)
@@ -156,11 +145,10 @@ def cmd_validate(args) -> int:
     lines = ["example\tparent\tchild\tparent_score\tchild_score"]
     for i, p, c, ps, cs in _violations(dag, matrix.values, args.eps):
         lines.append(f"{matrix.example_ids[i]}\t{p}\t{c}\t{ps!r}\t{cs!r}")
-    _emit(args.output, lambda fh: fh.write("\n".join(lines) + "\n"))
-    return 1 if len(lines) > 1 else 0
+    return int(len(lines) > 1), lambda fh: fh.write("\n".join(lines) + "\n")
 
 
-def cmd_fit_thresholds(args) -> int:
+def cmd_fit_thresholds(args):
     for option, strategy in (("grid", "fscore"), ("k", "percentile")):
         if getattr(args, option) is not None and args.strategy != strategy:
             raise _ParamError(f"--{option} is only used by --strategy {strategy}")
@@ -183,25 +171,21 @@ def cmd_fit_thresholds(args) -> int:
                 print(f"W_NO_POSITIVES: {w.message}", file=sys.stderr)
             else:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    _emit(args.output, lambda fh: write_thresholds_stream(tv, fh))
-    return 0
+    return 0, lambda fh: write_thresholds_stream(tv, fh)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     dag = _load_dag(args)
     scores = align_to_dag(read_scores(args.scores), dag)
     labels = align_to_dag(read_scores(args.labels), dag)
     report = evaluate(dag, scores, labels, _thresholds(args, dag))
-    def write(fh):
-        fh.write(f"# examples: {report.n_examples}\n")
-        fh.write(f"# violations: {report.violation_count}\n")
-        fh.write(f"# max_violation_gap: {repr(report.max_violation_gap)}\n")
-        fh.write("class\tP\tR\tF\n")
-        m = report.metrics
-        _write_rows(fh, m.class_ids,
-                    np.column_stack([m.precision, m.recall, m.f_score]))
-    _emit(args.output, write)
-    return 0
+    m = report.metrics
+    comments = [f"examples: {report.n_examples}",
+                f"violations: {report.violation_count}",
+                f"max_violation_gap: {report.max_violation_gap!r}"]
+    return 0, lambda fh: _write_rows(
+        fh, m.class_ids, np.column_stack([m.precision, m.recall, m.f_score]),
+        comments=comments, header=["class", "P", "R", "F"])
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -291,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, write = args.func(args)
+        if args.output in (None, "-"):
+            write(sys.stdout)
+        else:
+            _emit(args.output, write)
+        return code
     except (_ParamError, WeightRangeError, EmptyGridError) as exc:
         print(f"E_PARAM: {exc}", file=sys.stderr)
         return 3

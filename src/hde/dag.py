@@ -1,4 +1,5 @@
-"""Rooted DAG taxonomy: construction, validation, queries and level computation.
+"""Rooted DAG taxonomy: construction, validation, queries, level computation
+and the edge-list file, the one file this module reads and writes.
 
 A taxonomy is a directed acyclic graph whose edges point from a parent
 (more general) class to a child (more specific) class.  All downstream
@@ -11,10 +12,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter, methodcaller
 
 import numpy as np
 
+from ._tsv import _emit, _kept_lines, _storable
 from .errors import (
     CycleError,
     DagError,
@@ -405,28 +406,6 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     return Dag(nodes, root, synthetic, index, pi, ci)
 
 
-def _storable(names) -> bool:
-    """Whether each of `names` is an identifier that `build_dag` accepts:
-    one that starts a line the readers keep (see `_records`) as one field."""
-    try:
-        heads = set(map(itemgetter(0), map(str.lstrip, names)))
-    except (TypeError, IndexError):  # not a string, or blank
-        return False
-    return heads.isdisjoint("#\ufeff") and not any(
-        map("".join(names).__contains__, "\t\n\r"))
-
-
-def _readable(labels) -> bool:
-    """Whether each of `labels` (strings) comes back whole as the first
-    field of a row that hde writes below a header line: `_storable`'s rule
-    without the two cases only an edge list needs, so a blank label (two
-    blank names make a blank edge-list line) and a leading U+FEFF (lost
-    only at the start of a file) pass."""
-    return not any(map(methodcaller("startswith", "#"),
-                       map(str.lstrip, labels))) and not any(
-        map("".join(labels).__contains__, "\t\n\r"))
-
-
 def _find_cycle(dag):
     """One directed cycle, read off the nodes Kahn's order left out.
 
@@ -459,43 +438,13 @@ def compute_levels(dag: Dag) -> Dag:
     return dag
 
 
-def _records(path, comments=None):
-    """Yield (lineno, line without its newline) of each line of a UTF-8 file
-    that is neither blank nor a `#` comment, adding comment texts to
-    `comments` if given: the text after the `#` and one optional space,
-    without the newline, so that writing `# text` reads back as `text`.
-    A leading BOM is dropped.  Not UTF-8: ParseError, no line (text mode
-    decodes in chunks)."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.lstrip()
-                if not text:
-                    continue
-                if text.startswith("#"):
-                    if comments is not None:
-                        text = text[1:].removesuffix("\n")
-                        comments.append(text.removeprefix(" "))
-                    continue
-                yield lineno, line.rstrip("\n")
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
-
-
 def read_edge_list(path) -> list:
     """Parse a TSV edge-list file into (parent, child) pairs.
 
-    One `parent<TAB>child` pair per line; `#` comment lines and blank
-    lines are ignored, and so is a leading byte-order mark.  The file is
-    read whole and split at line feeds only: the lines a text-mode file
-    iterates.
+    One `parent<TAB>child` pair per line; blank and `#` comment lines and
+    a leading byte-order mark are ignored.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
-    kept = [ln for ln in lines if (text := ln.lstrip()) and text[0] != "#"]
+    lines, kept = _kept_lines(path)
     if not kept:
         raise EmptyGraphError(f"no edges found in {path}")
     fields = "\t".join(kept).split("\t")
@@ -511,6 +460,5 @@ def read_edge_list(path) -> list:
 
 def write_edge_list(dag: Dag, path) -> None:
     """Write the Dag's edges in insertion order (round-trips node order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for p, c in dag.edges:
-            fh.write(f"{p}\t{c}\n")
+    _emit(path, lambda fh: fh.write(
+        "".join(f"{p}\t{c}\n" for p, c in dag.edges)))

@@ -7,13 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import Dag, _readable, _records, edge_index_arrays
+from ._tsv import _emit, _parse_cells, _records, _write_rows
+from .dag import Dag, edge_index_arrays
 from .errors import (
     AlignmentError,
-    HdeError,
     MissingClassError,
     ParseError,
-    RangeError,
     check_unit_interval,
 )
 
@@ -131,54 +130,6 @@ def _violations(dag: Dag, values: np.ndarray, eps: float = 0.0):
             yield (i, names[a], names[b], ps, cs)
 
 
-def _check_rows_in_range(values: np.ndarray, linenos) -> None:
-    """RangeError naming the first bad cell of a 2-D array, if it has one.
-
-    The cell is the first out-of-[0, 1] (or NaN) value in file order, given
-    with the line number of its row and the repr of the value as a float.
-    """
-    bad = ~((values >= 0.0) & (values <= 1.0))
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise RangeError(
-            f"line {linenos[r]}: value {float(values[r, c])!r} outside [0, 1]")
-
-
-# Unicode whitespace that np.loadtxt strips around a number and float()
-# refuses; every other cell text parses the same way in both, or fails
-# in loadtxt and so reaches the float() loop.
-_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _parse_cells(lines, linenos, width) -> np.ndarray:
-    """The cells after the first column of each line, as float() reads them:
-    (len(lines), width).  ParseError names the first line with the wrong
-    column count or a cell that is not a float literal; an out-of-range
-    value on an earlier line is a RangeError first."""
-    if lines and all(line.count("\t") == width
-                     and not any(c in line for c in _LOADTXT_ONLY_SPACE)
-                     for line in lines):
-        try:
-            return np.loadtxt(lines, delimiter="\t",
-                              usecols=range(1, width + 1), comments=None,
-                              dtype=np.float64, ndmin=2)
-        except ValueError:
-            pass  # the loop below names the line, as float() words it
-    rows = []
-    for lineno, line in zip(linenos, lines):
-        parts = line.split("\t")
-        try:
-            if len(parts) != width + 1:
-                raise ValueError(
-                    f"expected {width + 1} columns, got {len(parts)}")
-            rows.append(list(map(float, parts[1:])))
-        except ValueError as exc:
-            _check_rows_in_range(
-                np.array(rows, dtype=np.float64).reshape(-1, width), linenos)
-            raise ParseError(str(exc), line=lineno) from None
-    return np.array(rows, dtype=np.float64).reshape(len(lines), width)
-
-
 def read_scores(path) -> ScoreMatrix:
     """Read a scores TSV: header `example<TAB>class...`, one row per example.
 
@@ -191,61 +142,29 @@ def read_scores(path) -> ScoreMatrix:
     lineno, line = next(records, (None, None))
     if line is None:
         raise ParseError(f"no header found in {path}")
-    parts = line.split("\t")
-    if parts[0] != "example" or len(parts) < 2:
+    header = line.split("\t")
+    if header[0] != "example" or len(header) < 2:
         raise ParseError(
             "header must start with 'example' followed by class ids",
             line=lineno)
-    header = parts[1:]
-    linenos, lines = [], []
-    for lineno, line in records:
-        linenos.append(lineno)
-        lines.append(line)
-    values = _parse_cells(lines, linenos, len(header))
-    _check_rows_in_range(values, linenos)
-    example_ids = [line.split("\t", 1)[0] for line in lines]
-    return ScoreMatrix(example_ids, header, values, comments=comments)
-
-
-def _write_rows(fh, labels, values, digits: int | None = None,
-                head: str = "") -> None:
-    """`head`, then one `label<TAB>cell...` line per row of a 2-D float
-    array.  A label (as str) that would not read back as its row's first
-    field (see `dag._readable`) is an HdeError naming the first such label,
-    raised before anything is written.  In each block of about 4096 cells,
-    each distinct float64 bit pattern (so -0.0 apart from 0.0) is formatted
-    once."""
-    names = list(map(str, labels))
-    if not _readable(names):
-        bad = next(t for t in names if not _readable([t]))
-        raise HdeError(f"row label {bad!r} would not read back: it starts "
-                       "with '#' after any leading blanks or holds a tab or "
-                       "line break")
-    fh.write(head)
-    fmt = repr if digits is None else f"{{:.{digits}f}}".format
-    step = max(1, 4096 // max(values.shape[1], 1))
-    for i in range(0, len(values), step):
-        block = np.ascontiguousarray(values[i:i + step], dtype=np.float64)
-        bits, inv = np.unique(block.view(np.int64), return_inverse=True)
-        texts = np.fromiter(map(fmt, bits.view(np.float64).tolist()), object)
-        rows = texts[inv].reshape(block.shape).tolist()
-        fh.write("".join([f"{lab}\t" + "\t".join(cells) + "\n"
-                          for lab, cells in zip(names[i:i + step], rows)]))
+    example_ids, values = _parse_cells(records, len(header) - 1)
+    return ScoreMatrix(example_ids, header[1:], values, comments=comments)
 
 
 def write_scores_stream(matrix: ScoreMatrix, fh, digits: int | None = None) -> None:
     """Write a scores TSV to an open text stream.  A cell is Python's
     shortest round-trip repr, or `{:.Kf}` for digits=K, and -0.0 stays
-    -0.0; the bytes do not depend on how the writer batches cells."""
-    head = "".join(f"# {c}\n" for c in matrix.comments)
-    head += "example\t" + "\t".join(matrix.class_ids) + "\n"
-    _write_rows(fh, matrix.example_ids, matrix.values, digits, head)
+    -0.0; the bytes do not depend on how the writer batches cells.  A
+    table that would not read back (see README) is an HdeError, raised
+    before anything is written."""
+    _write_rows(fh, matrix.example_ids, matrix.values, digits,
+                matrix.comments, ["example", *matrix.class_ids])
 
 
 def write_scores(matrix: ScoreMatrix, path, digits: int | None = None) -> None:
-    """Write a scores TSV; `digits=None` keeps full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write_scores_stream(matrix, fh, digits)
+    """Write a scores TSV; `digits=None` keeps full round-trip precision.
+    A refused table leaves the file as it was."""
+    _emit(path, lambda fh: write_scores_stream(matrix, fh, digits))
 
 
 def align_to_dag(matrix: ScoreMatrix, dag: Dag) -> ScoreMatrix:

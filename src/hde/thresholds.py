@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import Dag, _records, edge_index_arrays
+from ._tsv import _emit, _parse_cells, _records, _write_rows
+from .dag import Dag, edge_index_arrays
 from .errors import (
     AlignmentError,
     EmptyGridError,
@@ -22,14 +23,7 @@ from .errors import (
     RangeError,
     check_unit_interval,
 )
-from .scores import (
-    ScoreMatrix,
-    _check_rows_in_range,
-    _node_columns,
-    _parse_cells,
-    _violation_mask,
-    _write_rows,
-)
+from .scores import ScoreMatrix, _node_columns, _violation_mask
 
 DEFAULT_GRID = np.round(np.arange(0.01, 1.00, 0.01), 2)
 _FIT_BLOCK_CELLS = 1 << 16  # score cells per block in fit_fscore
@@ -225,27 +219,21 @@ def read_thresholds(path) -> ThresholdVector:
     """Read a `class<TAB>threshold` TSV, its cells parsed as a scores
     file's are: an out-of-range value is reported ahead of a parse error
     on a later line."""
-    linenos, lines = [], []
-    for lineno, line in _records(path):
-        linenos.append(lineno)
-        lines.append(line)
-    if not lines:
+    ids, values = _parse_cells(_records(path), 1)
+    if not ids:
         raise ParseError(f"no thresholds found in {path}")
-    values = _parse_cells(lines, linenos, 1)
-    _check_rows_in_range(values, linenos)
-    ids = [line.split("\t", 1)[0] for line in lines]
     return ThresholdVector(ids, values.ravel(), "file")
 
 
 def write_thresholds_stream(tv: ThresholdVector, fh) -> None:
     _write_rows(fh, tv.class_ids, tv.values[:, None],
-                head=f"# strategy: {tv.strategy_tag}\n")
+                comments=[f"strategy: {tv.strategy_tag}"])
 
 
 def write_thresholds(tv: ThresholdVector, path) -> None:
-    """Write a `class<TAB>threshold` TSV headed by the strategy tag."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write_thresholds_stream(tv, fh)
+    """Write a `class<TAB>threshold` TSV headed by the strategy tag.  A
+    table that would not read back is an HdeError, the file left as it was."""
+    _emit(path, lambda fh: write_thresholds_stream(tv, fh))
 
 
 def align_thresholds(tv: ThresholdVector, dag: Dag) -> ThresholdVector:

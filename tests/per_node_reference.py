@@ -31,7 +31,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from hde import ScoreMatrix
-from hde.dag import SYNTHETIC_ROOT, _records, _width_blocks
+from hde._tsv import _records
+from hde.dag import SYNTHETIC_ROOT, _width_blocks
 from hde.errors import (
     CycleError,
     DagError,

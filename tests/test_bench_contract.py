@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import hde._tsv
 import hde.cli
 from hde import build_dag, compute_levels, isotonic_project
 
@@ -51,6 +52,17 @@ def test_span_names_a_public_hde_function(span):
     obj = getattr(importlib.import_module(f"hde.{module}"), function, None)
     assert inspect.isfunction(obj), span
     assert (obj.__module__, obj.__name__) == (f"hde.{module}", function)
+
+
+def test_tsv_module_defines_only_private_names():
+    # a public function there would be wrapped by the tracer as `_tsv.*`,
+    # moving the time of reading and writing out of `scores.self_s`
+    tree = ast.parse(inspect.getsource(hde._tsv))
+    names = [node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    names += [target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets]
+    assert names and all(name.startswith("_") for name in names), names
 
 
 def test_isotonic_project_takes_z_second():

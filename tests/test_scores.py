@@ -16,15 +16,20 @@ from hde import (
     ParseError,
     RangeError,
     ScoreMatrix,
+    ThresholdVector,
     align_to_dag,
     build_dag,
     check_valid_continuous,
     check_valid_discrete,
     count_violations,
     read_scores,
+    read_thresholds,
     write_scores,
+    write_thresholds,
 )
+from hde._tsv import _records
 from hde.scores import write_scores_stream
+from hde.thresholds import write_thresholds_stream
 
 import per_node_reference as ref
 from conftest import random_dag
@@ -193,6 +198,46 @@ class TestScoresIO:
             write_scores_stream(m, fh)
         assert fh.getvalue() == ""
 
+    def test_refused_write_leaves_target_as_it_was(self, tmp_path):
+        m = ScoreMatrix(["#x"], ["a"], [[0.1]])
+        path = tmp_path / "s.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(HdeError, match="'#x'"):
+            write_scores(m, path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        with pytest.raises(HdeError, match="'#x'"):
+            write_scores(m, tmp_path / "new.tsv")
+        assert not (tmp_path / "new.tsv").exists()
+
+    @pytest.mark.parametrize("cell", [1.5, -0.5, float("nan")])
+    def test_out_of_range_cell_refused_before_writing(self, tmp_path, cell):
+        # a matrix changed after construction; the file would not read back
+        m = ScoreMatrix(["x"], ["a"], [[0.1]])
+        m.values[0, 0] = cell
+        path = tmp_path / "s.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RangeError):
+            write_scores(m, path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    def test_class_id_with_tab_or_line_break_refused(self, bad):
+        # `a\tb` would be written as two header fields
+        fh = io.StringIO()
+        with pytest.raises(HdeError, match=re.escape(repr(bad))):
+            write_scores_stream(ScoreMatrix(["x"], ["r", bad], [[0.1, 0.1]]),
+                                fh)
+        assert fh.getvalue() == ""
+
+    @pytest.mark.parametrize("comment", ["note\nexample\tb", "c\rd", "e\r\n"])
+    def test_comment_with_line_break_refused(self, comment):
+        # the text after the break would read as the header or a row
+        m = ScoreMatrix(["x"], ["a"], [[0.1]], comments=["ok", comment])
+        fh = io.StringIO()
+        with pytest.raises(HdeError, match=re.escape(repr(comment))):
+            write_scores_stream(m, fh)
+        assert fh.getvalue() == ""
+
     def test_blank_led_and_blank_example_ids_round_trip(self, tmp_path):
         # a row is never a file's first line, so a blank id and a leading
         # U+FEFF read back too
@@ -230,10 +275,9 @@ def per_scalar_text(matrix, digits):
     return "".join(line + "\n" for line in lines)
 
 
-# comment texts: any text a line can hold (text mode ends a line at \r
-# as well as \n)
-COMMENTS = st.lists(st.text(st.characters(exclude_categories=("Cs",),
-                                          exclude_characters="\r\n")),
+# comment texts: any text; the writer refuses one holding a line break
+# (text mode ends a line at \r as well as \n)
+COMMENTS = st.lists(st.text(st.characters(exclude_categories=("Cs",))),
                     max_size=3)
 
 
@@ -250,6 +294,11 @@ class TestScoresRoundTrip:
                         [f"c{j}" for j in range(values.shape[1])],
                         values, comments=comments)
         path = tmp_path_factory.mktemp("rt") / "s.tsv"
+        if any("\n" in c or "\r" in c for c in comments):
+            with pytest.raises(HdeError, match="comment"):
+                write_scores(m, path, digits=digits)
+            assert not path.exists()
+            return
         write_scores(m, path, digits=digits)
         assert path.read_text(encoding="utf-8") == per_scalar_text(m, digits)
         if digits is None:
@@ -303,6 +352,82 @@ class TestScoresRoundTrip:
         path = tmp_path / "s.tsv"
         write_scores(m, path, digits=digits)
         assert path.read_text(encoding="utf-8").splitlines()[1] == row
+
+
+# any text UTF-8 can encode (no lone surrogates), with the characters the
+# format gives a meaning drawn often
+TEXTS = st.text(st.one_of(
+    st.sampled_from(["\t", "\n", "\r", "#", " ", "\ufeff", "\x0c", "\x1c",
+                     "\x85", "\u2028", "0", "e"]),
+    st.characters(exclude_categories=("Cs",))), max_size=4)
+
+
+def naive_text(table):
+    """The text a writer with no checks would write for a ScoreMatrix or
+    a ThresholdVector."""
+    if isinstance(table, ThresholdVector):
+        return f"# strategy: {table.strategy_tag}\n" + "".join(
+            f"{c}\t{float(v)!r}\n" for c, v in zip(table.class_ids,
+                                                  table.values))
+    return per_scalar_text(table, None)
+
+
+def read_back(table, path):
+    """What the reader makes of `path`: ids, class ids, comments and value
+    bits, or the error's type."""
+    comments = []
+    for _ in _records(path, comments):
+        pass
+    try:
+        back = (read_thresholds if isinstance(table, ThresholdVector)
+                else read_scores)(path)
+    except HdeError as exc:
+        return type(exc)
+    return (getattr(back, "example_ids", None), back.class_ids, comments,
+            back.values.tobytes())
+
+
+class TestWritersReadBackOrRefuse:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(["scores", "thresholds"]),
+           ids=st.lists(TEXTS, max_size=3, unique=True),
+           class_ids=st.lists(TEXTS, max_size=3, unique=True),
+           comments=st.lists(TEXTS, max_size=2), data=st.data())
+    def test_written_table_reads_back_or_nothing_is_written(
+            self, tmp_path_factory, kind, ids, class_ids, comments, data):
+        # a table reads back when the text of a writer with no checks does;
+        # otherwise the writer refuses it before writing anything
+        if kind == "scores":
+            values = data.draw(arrays(np.float64, (len(ids), len(class_ids)),
+                                      elements=UNIT_FLOATS))
+            table = ScoreMatrix(ids, class_ids, values, comments=comments)
+            write, stream = write_scores, write_scores_stream
+            expected = (ids, class_ids, comments, values.tobytes())
+        else:
+            values = data.draw(arrays(np.float64, len(class_ids),
+                                      elements=UNIT_FLOATS))
+            tag = "".join(comments)
+            table = ThresholdVector(class_ids, values, tag)
+            write, stream = write_thresholds, write_thresholds_stream
+            expected = (None, class_ids, [f"strategy: {tag}"],
+                        values.tobytes())
+        folder = tmp_path_factory.mktemp("w")
+        (folder / "naive.tsv").write_text(naive_text(table), encoding="utf-8")
+        path = folder / "t.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        if read_back(table, folder / "naive.tsv") == expected:
+            write(table, path)
+            assert path.read_text(encoding="utf-8") == naive_text(table)
+            assert read_back(table, path) == expected
+        else:
+            with pytest.raises(HdeError):
+                write(table, path)
+            assert path.read_text(encoding="utf-8") == "old\n"
+            fh = io.StringIO()
+            with pytest.raises(HdeError):
+                stream(table, fh)
+            assert fh.getvalue() == ""
 
 
 HARD_LITERALS = [

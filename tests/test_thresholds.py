@@ -298,12 +298,18 @@ class TestThresholdIO:
         assert np.array_equal(back.values, tv.values)
 
     def test_unreadable_class_id_refused_before_writing(self, tmp_path):
-        # `#a` would read back as a comment, leaving only `r`
+        # `#a` would read back as a comment, leaving only `r`; the check
+        # comes before the file is opened, so a refused write leaves it as
+        # it was
         tv = ThresholdVector(["r", "#a"], np.array([1.0, 0.5]), "fscore")
         path = tmp_path / "t.tsv"
+        path.write_text("old\n", encoding="utf-8")
         with pytest.raises(HdeError, match="'#a'"):
             write_thresholds(tv, path)
-        assert path.read_text(encoding="utf-8") == ""
+        assert path.read_text(encoding="utf-8") == "old\n"
+        with pytest.raises(HdeError, match="'#a'"):
+            write_thresholds(tv, tmp_path / "new.tsv")
+        assert not (tmp_path / "new.tsv").exists()
 
     def test_blank_led_class_ids_round_trip(self, tmp_path):
         tv = ThresholdVector(["r", " a", "b c"], np.array([1.0, 0.5, 0.25]),
