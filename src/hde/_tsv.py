@@ -51,10 +51,13 @@ def _kept_lines(path):
 
 def _readable(labels, heads="#", breaks="\t\n\r") -> bool:
     """Whether each of `labels` (strings) reads back whole as the first
-    field of a row below a header line: none holds a character of `breaks`
-    or, after any leading blanks, starts with one of `heads` ("": blank)."""
+    field of a row below a header line: UTF-8 encodes it (it holds no lone
+    surrogate), and none holds a character of `breaks` or, after any
+    leading blanks, starts with one of `heads` ("": blank)."""
+    text = "".join(labels)
     return set(map(itemgetter(slice(1)), map(str.lstrip, labels))).isdisjoint(
-        heads) and not any(map("".join(labels).__contains__, breaks))
+        heads) and not any(map(text.__contains__, breaks)) and text.encode(
+        "utf-8", "replace").decode("utf-8") == text
 
 
 def _storable(names) -> bool:
@@ -114,9 +117,10 @@ def _write_rows(fh, labels, values, digits: int | None = None,
     """`# text` for each comment, the `header` fields if given, then one
     `label<TAB>cell...` line per row of a 2-D float array.
 
-    Nothing is written unless the table reads back: a comment holding a
-    line break, a header field holding a tab or line break, a label that
-    is not `_readable`, no class or a cell outside [0, 1] is an HdeError.
+    Nothing is written unless the table reads back: text holding a lone
+    surrogate, a comment holding a line break, a header field holding a
+    tab or line break, a label that is not `_readable`, no class or a cell
+    outside [0, 1] is an HdeError.
     Each distinct float64 bit pattern of a 4096-cell block is formatted once."""
     names, comments = list(map(str, labels)), list(map(str, comments))
     for what, texts, heads, breaks in (

@@ -48,16 +48,16 @@ class Dag:
 
     By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
     path and `levels[d]` lists the nodes at distance `d` in node order.
-    The plan is integer: `down` holds, for levels 1..max_level, (nodes,
-    parents, offsets): the level's node indices, their parents' indices
-    concatenated in node order, and where each node's run of parents starts
-    (`reduceat` offsets).  `up` holds blocks (nodes (nb,), children (nb, w),
-    None), deepest level first: the nodes of one level with the same
-    summation width w, children in edge order, each row padded with the
-    sentinel index n (see `_width_blocks`).  Width groups add every per-node
-    sum in the same order, and so with the same rounding, as a loop over
-    single nodes.  The passes index nodes on the first axis of their working
-    arrays (node-major, see `topdown`), so every gather is a plain `W[idx]`.
+    The plan is integer, one entry per level: `down` holds, for levels
+    1..max_level, (nodes, parents, offsets): the level's node indices,
+    their parents' indices concatenated in node order, and where each
+    node's run of parents starts (`reduceat` offsets).  `up` holds, deepest
+    first, for each level from 1 with a node that has children, (nodes,
+    members, starts): those nodes in node order, their runs of cells,
+    each the sentinel slot n and then the node's children in edge order,
+    and where each run starts.  The passes index nodes on the first axis
+    of their working arrays (node-major, see `topdown`), so every gather
+    is a plain `W[idx]`.
     """
 
     def __init__(self, nodes, root, synthetic_root_flag, index, pi, ci):
@@ -189,27 +189,28 @@ class Dag:
     @cached_property
     def up(self) -> list:
         level, pi, ci = self._level, self._pi, self._ci
-        inner = level[pi] > 0  # the root is never blended
-        return _width_blocks(level, pi[inner], ci[inner], None)
+        inner = np.flatnonzero(level[pi] > 0)  # the root is never blended
+        # edges by (parent level deepest first, parent, edge order)
+        inner = inner[np.lexsort((pi[inner], -level[pi[inner]]))]
+        return _runs(level, pi[inner], ci[inner])
 
     @cached_property
     def descendants(self) -> list:
         """`up` with descendants instead of children.
 
-        Each block is (nodes (nb,), descendants (nb, w), weights (nb, w)):
-        descendants in node order, padded like `up` with weight 0, and
-        weighted (d_max - dist + 1) / d_max,
-        where dist is the longest node-to-descendant path and d_max the
-        largest such dist of the node.
+        Each entry is (nodes, descendants, starts, weights): descendants in
+        node order after the sentinel slot, weighted
+        (d_max - dist + 1) / d_max, where dist is the longest
+        node-to-descendant path and d_max the largest such dist of the node.
         """
         kid_ix, kid_at = _csr(self._pi, self._ci, len(self.nodes))
         # longest path from each node to each of its descendants, merged from
         # the children's maps deepest level first; a map is dropped once every
-        # parent has merged it, and blocks are made per level to keep the
+        # parent has merged it, and entries are made per level to keep the
         # temporaries to one level's cells
         reach = {}
         pending = np.bincount(self._ci, minlength=len(self.nodes)).tolist()
-        blocks = []
+        plan = []
         for level_nodes, _, _ in reversed(self.down):
             owners, members, lengths, longest = [], [], [], []
             for n in level_nodes.tolist():
@@ -229,10 +230,10 @@ class Dag:
                 lengths += [far[m] for m in desc]
                 longest += [max(far.values(), default=0)] * len(desc)
             d_max, dist = np.array(longest), np.array(lengths)
-            blocks += _width_blocks(
-                self._level, np.array(owners, dtype=np.intp),
-                np.array(members, dtype=np.intp), (d_max - dist + 1) / d_max)
-        return blocks
+            plan += _runs(self._level, np.array(owners, dtype=np.intp),
+                          np.array(members, dtype=np.intp),
+                          (d_max - dist + 1) / d_max)
+        return plan
 
     def topdown(self, ref: np.ndarray) -> np.ndarray:
         """Top-down sweep: out = min(ref, min over parents of out).
@@ -279,52 +280,22 @@ def edge_index_arrays(dag: Dag):
     return dag._pi, dag._ci
 
 
-def _width_blocks(level, owner, member, weight):
-    """Blocks (nodes, members (nb, w), weights (nb, w) or None), deepest
-    level first, each holding one level's owners of one summation width w.
-
-    An owner of k members has width k | 7 (the k mod 8 tail filled up to
-    7) for k < 128, and k itself from numpy's pairwise block size 128 up.
-    Its member row is padded at the end with the sentinel index n_nodes
-    and weight 0.  The passes gather node-major and sum over the members'
-    axis 1: numpy sums a one-row (nb, w) gather of an (n,) vector with 8
-    pairwise accumulators and then the k mod 8 tail in order, and an R-row
-    (nb, w, R) gather of an (n, R) array strictly in order; either way
-    padding within the width only adds zeros after the node's own terms,
-    so each node's sum keeps its bits.  Members keep
-    their given order within each owner.  A block holds at most
-    max(1, n_nodes // w) owners, so a gather over one block is no larger
-    than a gather over a whole score row.
-    """
-    n_nodes = len(level)
-    count = np.bincount(owner, minlength=n_nodes)
-    width = np.where(count < 128, count | 7, count)
-    order = np.lexsort((owner, width[owner], -level[owner]))
-    owner, member = owner[order], member[order]
+def _runs(level, owner, member, weight=None):
+    """Plan entries (nodes, members, starts[, weights]), one per level, from
+    cells grouped by owner, owners by level deepest first and then in
+    ascending order."""
     first = np.flatnonzero(np.diff(owner, prepend=-1))
-    nodes = owner[first]
-    k, w = count[nodes], width[nodes]
-    slot_at = np.cumsum(w) - w
-    # each member's slot: its owner's first slot plus its rank in the owner
-    slots = np.arange(len(owner)) + np.repeat(slot_at - first, k)
-    padded = np.full(int(w.sum()), n_nodes, dtype=np.intp)
-    padded[slots] = member
+    nodes, members = owner[first], np.insert(member, first, len(level))
+    starts = np.append(first + np.arange(len(first)), len(members))
     if weight is not None:
-        weights = np.zeros(len(padded))
-        weights[slots] = weight[order]
-    key = level[nodes] * (n_nodes + 1) + w
-    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
-    blocks = []
-    for s, e in zip(starts, starts[1:] + [len(nodes)]):
-        wd = int(w[s])
-        step = max(1, n_nodes // wd)
-        for a in range(s, e, step):
-            b = min(a + step, e)
-            sl = slice(slot_at[a], slot_at[a] + (b - a) * wd)
-            blocks.append((nodes[a:b], padded[sl].reshape(-1, wd),
-                           None if weight is None
-                           else weights[sl].reshape(-1, wd)))
-    return blocks
+        weights = np.insert(weight, first, 0.0)
+    cut = np.flatnonzero(np.diff(level[nodes], prepend=-1)).tolist()
+    entries = []
+    for a, b in zip(cut, [*cut[1:], len(nodes)]):
+        lo, hi = starts[a], starts[b]
+        entry = (nodes[a:b], members[lo:hi], starts[a:b] - lo)
+        entries.append(entry if weight is None else (*entry, weights[lo:hi]))
+    return entries
 
 
 def build_dag(edges, dedup: bool = False) -> Dag:
@@ -336,8 +307,9 @@ def build_dag(edges, dedup: bool = False) -> Dag:
     root of an already-augmented edge list, so serialization round-trips.
 
     An identifier must be a string that hde's TSV files carry whole: not
-    blank, with no tab or line break, and not starting with `#` or U+FEFF
-    after any leading blanks, which a reader would skip or strip.
+    blank, with no tab, line break or lone surrogate (which UTF-8 cannot
+    encode), and not starting with `#` or U+FEFF after any leading blanks,
+    which a reader would skip or strip.
     With `dedup` repeated edges are silently collapsed; otherwise they raise.
     The first offending edge in input order is reported; on one edge a bad
     identifier comes before a self-loop, and a self-loop before a repeat.
@@ -375,8 +347,8 @@ def build_dag(edges, dedup: bool = False) -> Dag:
         raise DuplicateEdgeError(f"duplicate edge ({p!r}, {c!r})")
     if m < len(edges):
         raise DagError(f"edge #{m + 1}: identifiers must be non-blank strings "
-                       "with no tab or line break, not starting with '#' or "
-                       "U+FEFF after any leading blanks")
+                       "with no tab, line break or lone surrogate, not "
+                       "starting with '#' or U+FEFF after any leading blanks")
     if repeat.any():
         keep = np.sort(first)
         pi, ci = pi[keep], ci[keep]

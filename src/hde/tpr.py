@@ -66,12 +66,12 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
                cfg: TprConfig) -> np.ndarray:
     """Phase B on node-major scores; root values are left untouched.
 
-    One gather per block of same-level nodes with the same summation width
-    (children or descendants, per the level plan): (nb, w) for one row,
-    (nb, w, R) for R rows, summed over the members' axis 1.  Member rows
-    are padded with index n: row n of the working copy holds -inf, which
-    no comparison admits into a positive set, so a pad adds only zeros
-    after the node's own terms and each node's sums keep their bits.
+    Per level of the plan (children or descendants), deepest first: one
+    gather of every run's cells, `(cells,)` for one row and `(cells, R)`
+    for R rows, one compare and one `where`, and `_run_sums` adds up each
+    run.  A run starts with the sentinel slot, index n: row n of the
+    working copy holds -inf, which no comparison admits into a positive
+    set, so the slot adds one leading 0.0 to each node's sums.
     """
     t = None
     if cfg.thresholds is not None:
@@ -84,22 +84,28 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
     up = (levels.up if cfg.descendant_mode == "children"
           else levels.descendants)
     linear = cfg.descendant_mode == "descendants-linear"
-    per_node = (..., *[None] * (flat.ndim - 1))  # broadcast over rows
-    out = np.concatenate([flat, np.full((1, *flat.shape[1:]), -np.inf)])
-    for ni, midx, weights in up:
-        vals = out[midx]  # nodes x members (x rows)
+    rows = flat.shape[1:]  # () for one row, (R,) for R rows
+    per_cell = (..., *[None] * len(rows))  # broadcast over rows
+    out = np.concatenate([flat, np.full((1, *rows), -np.inf)])
+    for ni, midx, starts, *weights in up:
+        vals = out[midx]  # cells (x rows)
         own = flat[ni]
+        # each cell's owner, as its rank in `ni`, counted off the run starts
+        owner = np.bincount(starts[1:], minlength=len(midx)).cumsum()
+        # the bincount index of each cell: owner, or owner * R + column
+        cells = (owner if not rows
+                 else (owner[:, None] * rows[0] + np.arange(rows[0])).ravel())
         if cfg.positive_selection == "threshold":
-            mask = vals > t[midx][per_node]
+            mask = vals > t[midx][per_cell]
         else:
-            mask = vals > own[:, None]
-        if not linear:
-            wsum = mask.sum(axis=1)
-            vsum = np.where(mask, vals, 0.0).sum(axis=1)
-        else:
-            weights = weights[per_node]
-            wsum = (mask * weights).sum(axis=1)
-            vsum = (np.where(mask, vals, 0.0) * weights).sum(axis=1)
+            mask = vals > own[owner]
+        kept = np.where(mask, vals, 0.0)
+        if linear:
+            decay = weights[0][per_cell]
+            mask = mask * decay
+            kept *= decay
+        wsum = _run_sums(mask, starts, cells)
+        vsum = _run_sums(kept, starts, cells)
         if cfg.w is None:
             out[ni] = (own + vsum) / (1.0 + wsum)
         else:
@@ -108,6 +114,21 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
             out[ni] = np.where(
                 wsum > 0, cfg.w * own + (1.0 - cfg.w) * vsum / safe, own)
     return out[:-1]
+
+
+def _run_sums(x, starts, cells):
+    """Each run's sum of `x`: (nodes,) for one row, (nodes, R) for R rows.
+
+    One row of floats: `np.add.reduceat` from each run's start, which adds
+    a run that starts with 0.0 as `run.sum()` does (numpy's pairwise sum).
+    Otherwise `np.bincount` over `cells`, each cell's owner * R + column,
+    which adds every run's cells in order; a count (boolean `x`) is exact
+    in any order.  `test_plan.py` pins both numpy rules.
+    """
+    if x.ndim == 1 and x.dtype == np.float64:
+        return np.add.reduceat(x, starts)
+    return np.bincount(cells, x.ravel(), x[0].size * len(starts)).reshape(
+        len(starts), *x.shape[1:])
 
 
 def _bottom_up_matrix(dag: Dag, levels: Dag, flat: np.ndarray,

@@ -19,7 +19,8 @@ percentile fit: `test_scores.py` and `test_thresholds.py` require
 `build_by_name` is the taxonomy build on name-keyed dicts: one validation
 loop over the edges, child and parent dicts of tuples, Kahn's algorithm and
 the longest-path levels on names.  `plan_by_name` compiles its levels into
-the level plan's arrays, walking descendants through those dicts.
+the level plan's arrays with plain loops, not hde's plan builder, walking
+descendants through those dicts.
 `test_dag.py` and `test_plan.py` require `build_dag` and the Dag's
 level plan (its name views and plan arrays) to give what they give.
 """
@@ -32,7 +33,7 @@ from scipy.optimize import nnls
 
 from hde import ScoreMatrix
 from hde._tsv import _records
-from hde.dag import SYNTHETIC_ROOT, _width_blocks
+from hde.dag import SYNTHETIC_ROOT
 from hde.errors import (
     CycleError,
     DagError,
@@ -263,7 +264,8 @@ def _kept_id(name):
         return False
     text = name.lstrip()
     return (text != "" and text[0] not in "#\ufeff"
-            and not any(ch in name for ch in "\t\n\r"))
+            and not any(ch in name for ch in "\t\n\r")
+            and not any("\ud800" <= ch <= "\udfff" for ch in name))
 
 
 def build_by_name(edges, dedup=False):
@@ -280,8 +282,8 @@ def build_by_name(edges, dedup=False):
         if not (_kept_id(p) and _kept_id(c)):
             raise DagError(
                 f"edge #{k + 1}: identifiers must be non-blank strings "
-                "with no tab or line break, not starting with '#' or "
-                "U+FEFF after any leading blanks")
+                "with no tab, line break or lone surrogate, not "
+                "starting with '#' or U+FEFF after any leading blanks")
         if p == c:
             raise SelfLoopError(f"self-loop on node {p!r}")
         if (p, c) in seen:
@@ -373,14 +375,14 @@ def plan_by_name(built):
         ni = nodes[node_at[d]:node_at[d + 1]]
         down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
                      np.cumsum(indeg[ni]) - indeg[ni]))
-    inner = level[pi] > 0
-    up = _width_blocks(level, pi[inner], ci[inner], None)
+    up, descendants = [], []
     reach = {}
     pending = {m: len(ps) for m, ps in built.parents.items()}
-    descendants = []
     for d in range(max_level, 0, -1):
-        owners, members, lengths, longest = [], [], [], []
+        kids, desc = [], []
         for m in built.levels[d]:
+            if built.children[m]:
+                kids.append((ix[m], [ix[c] for c in built.children[m]], []))
             far = {}
             for c in built.children[m]:
                 far.setdefault(ix[c], 1)
@@ -391,13 +393,26 @@ def plan_by_name(built):
                 if not pending[c]:
                     del reach[c]
             reach[m] = far
-            desc = sorted(far)
-            owners += [ix[m]] * len(desc)
-            members += desc
-            lengths += [far[j] for j in desc]
-            longest += [max(far.values(), default=0)] * len(desc)
-        d_max, dist = np.array(longest), np.array(lengths)
-        descendants += _width_blocks(
-            level, np.array(owners, dtype=np.intp),
-            np.array(members, dtype=np.intp), (d_max - dist + 1) / d_max)
+            if far:
+                d_max = max(far.values())
+                desc.append((ix[m], sorted(far),
+                             [(d_max - far[j] + 1) / d_max
+                              for j in sorted(far)]))
+        if kids:
+            up.append(_plan_entry(n, kids)[:3])
+        if desc:
+            descendants.append(_plan_entry(n, desc))
     return down, up, descendants
+
+
+def _plan_entry(n, runs):
+    """(nodes, members, starts, weights) from (owner, members, weights)
+    runs: each run is the sentinel n with weight 0.0, then the members."""
+    nodes, members, starts, weights = [], [], [], []
+    for owner, kin, wts in runs:
+        nodes.append(owner)
+        starts.append(len(members))
+        members += [n, *kin]
+        weights += [0.0, *wts]
+    return (np.array(nodes, dtype=np.intp), np.array(members, dtype=np.intp),
+            np.array(starts, dtype=np.intp), np.array(weights))

@@ -553,6 +553,19 @@ class TestInputBoundary:
         assert len(lines) == 1
         assert lines[0].startswith("E_IO:") and "not UTF-8" in lines[0]
 
+    def test_lone_surrogate_input_leaves_output_as_it_was(self, fx, capsys):
+        # a scores comment holding a lone surrogate's UTF-8 bytes: not UTF-8
+        # text, so the input is refused before -o is opened
+        scores = fx / "scores.tsv"
+        scores.write_bytes(b"# a\xed\xa0\x80\n" + scores.read_bytes())
+        out = fx / "out.tsv"
+        out.write_text("old\n", encoding="utf-8")
+        assert run("correct", "--dag", fx / "dag.tsv", "--scores", scores,
+                   "--method", "htd", "-o", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_IO:")
+        assert out.read_text(encoding="utf-8") == "old\n"
+
     @pytest.mark.parametrize("reader, target, text", [
         (read_edge_list, "dag.tsv", DIAMOND),
         (read_scores, "scores.tsv", "# note\n" + DIAMOND_SCORES),

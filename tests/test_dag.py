@@ -281,7 +281,7 @@ NAMES = ["a", "b", "c", "d", "e", "f"]
 # identifiers build_dag must refuse, one of them unhashable: not strings,
 # or strings that the TSV files hde writes would not carry whole
 BAD_IDS = ["", 0, None, b"a", ("a",), ["a"], " ", "#a", " \t#a", "\ufeffa",
-           "a\tb", "a\nb", "a\r"]
+           "a\tb", "a\nb", "a\r", "a\ud800"]
 
 
 @st.composite

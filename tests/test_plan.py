@@ -2,15 +2,14 @@
 reference loops.
 
 Every variant must give bit-identical output, compared as int64 views so
-that -0.0 and 0.0 differ.  The kernels group a level's nodes by summation
-width (k | 7 for k < 128 members, else k) and pad each member row up to it
-with a sentinel that adds only zeros.  They work node-major: one row is an
-(n,) vector whose (nb, w) gathers numpy sums pairwise, with 8 accumulators
-and then the k mod 8 tail in order; R rows are an (n, R) array whose
-(nb, w, R) gathers numpy sums over the members' axis strictly in order.
-In both cases the padding adds only zeros after a node's own terms and
-each per-node sum keeps the reference's bits.  Both batch sizes are
-checked, and so is that numpy rule itself.
+that -0.0 and 0.0 differ.  The plan holds one entry per level, and each
+node's members as a run: one sentinel slot that adds a leading 0.0, then
+the members.  The kernels work node-major and sum every run with one of
+two numpy operations: one row is an (n,) vector whose runs
+`np.add.reduceat` adds as `run.sum()` does (pairwise), and R rows are an
+(n, R) array whose runs `np.bincount` over owner * R + column adds in
+order, as the reference's many-row sum does.  Both batch sizes are
+checked, and so are those two numpy rules themselves.
 """
 
 import gc
@@ -78,14 +77,15 @@ def _dags():
 
 
 def width(k):
-    """Summation width of a k-member sum: numpy's pairwise group."""
+    """k | 7 below 128, else k: the member counts that numpy's pairwise
+    sum adds in as many 8-cell strides as k share it."""
     return k | 7 if k < 128 else k
 
 
 def _wide_dags():
     """Seeded random DAGs with two extra hubs, whose non-root nodes have
-    child and descendant counts in the width groups 1-7, 8-15 and 16-23,
-    and some node >= 128 descendants (a row with no padding)."""
+    child and descendant counts in the groups 1-7, 8-15 and 16-23, and
+    some node >= 128 descendants (past numpy's 128-cell pairwise block)."""
     rng = np.random.default_rng(2025)
     dags = []
     for n in (150, 200):
@@ -191,62 +191,82 @@ def test_corrections_leave_input_and_return_fresh_arrays(writeable):
 
 
 @pytest.mark.parametrize("case", range(len(DAGS)))
-def test_plan_blocks_are_padded_width_groups(case):
-    """Each block holds one level's owners of one width, deepest level
-    first; each row is the owner's members, then the sentinel index n with
-    weight 0 up to width(k).  A (level, width) group is split only into
-    blocks of max(1, n // width) owners, the last one possibly shorter."""
+def test_plan_levels_are_sentinel_led_runs(case):
+    """One entry per level, deepest first.  Each owner's run is the
+    sentinel slot n, with weight 0, and then its members: children in edge
+    order, descendants in node order, with weights > 0.  A level's cells
+    are its members plus one slot per owner, and the owners are exactly
+    the non-root nodes with at least one member."""
     dag, lv = DAGS[case]
     n = len(dag)
     ix = dag.index
-    for blocks, members in ((lv.up, dag.children),
-                            (lv.descendants, partial(descendants, dag))):
-        sizes, owners, last = {}, [], np.inf
-        for ni, midx, weights in blocks:
-            w = midx.shape[1]
-            d = lv.dist[dag.nodes[ni[0]]]
-            assert d <= last
-            last = d
-            for r, i in enumerate(ni):
-                node = dag.nodes[i]
-                k = len(members(node))
-                assert lv.dist[node] == d and w == width(k)
-                assert list(midx[r, :k]) == [ix(m) for m in members(node)]
-                assert (midx[r, k:] == n).all()
-                if weights is not None:
-                    assert (weights[r, :k] > 0).all()
-                    assert (weights[r, k:] == 0).all()
-            sizes.setdefault((d, w), []).append(len(ni))
+    for plan, members, width in ((lv.up, dag.children, 3),
+                                 (lv.descendants, partial(descendants, dag),
+                                  4)):
+        depths = [lv.dist[dag.nodes[entry[0][0]]] for entry in plan]
+        assert depths == sorted(set(depths), reverse=True)
+        owners = []
+        for d, (ni, midx, starts, *weights) in zip(depths, plan):
+            assert len(ni) == len(starts) and 3 + len(weights) == width
+            kin = [[ix(m) for m in members(dag.nodes[i])] for i in ni]
+            assert len(midx) == sum(map(len, kin)) + len(ni)
+            for i, a, b, want in zip(ni, starts, [*starts[1:], len(midx)],
+                                     kin):
+                assert lv.dist[dag.nodes[i]] == d
+                assert midx[a] == n and list(midx[a + 1:b]) == want
+                if weights:
+                    assert weights[0][a] == 0
+                    assert (weights[0][a + 1:b] > 0).all()
             owners += list(ni)
         assert sorted(owners) == sorted(
-            ix(m) for m in dag.nodes if lv.dist[m] > 0 and dag.children(m))
-        for (d, w), group in sizes.items():
-            step = max(1, n // w)
-            assert all(s == step for s in group[:-1]) and group[-1] <= step
+            ix(m) for m in dag.nodes if lv.dist[m] > 0 and members(m))
 
 
-@pytest.mark.parametrize("rows", [1, 50])
-def test_numpy_sums_keep_bits_when_padded_to_width(rows):
-    """The numpy rule the level plan relies on: a node-major gather, (nb, k)
-    from an (n,) vector or (nb, k, R) from an (n, R) array, summed over its
-    members' axis 1 gives the same bits with zeros appended up to k | 7."""
+@pytest.mark.parametrize("rows", [1, 2, 50])
+def test_numpy_run_sums_keep_bits(rows):
+    """The numpy rules `tpr._run_sums` relies on.  One row: a 1-D
+    `np.add.reduceat` over runs that each start with 0.0 gives every run
+    the bits of `run.sum()`, for run lengths 1-600, across numpy's
+    128-cell pairwise block.  R rows: `np.bincount` over
+    owner * R + column gives each run the bits of an in-order `for`
+    accumulation and of the `(nb, k, R)` gather `.sum(axis=1)` the
+    kernel used before."""
     rng = np.random.default_rng(rows)
-    shape = (401,) if rows == 1 else (401, rows)  # row 400 is the zero pad
-    src = np.zeros(shape)
-    src[:400] = (rng.uniform(size=(400, *shape[1:]))
-                 * 10.0 ** rng.integers(-8, 9, size=(400, *shape[1:])))
-    for k in range(1, 128):
-        for nb in (1, 13):
-            idx = rng.integers(0, 400, size=(nb, k))
-            padded = np.hstack([idx, np.full((nb, width(k) - k), 400)])
-            assert same_bits(src[idx].sum(axis=1), src[padded].sum(axis=1)), (
-                f"k={k}, {rows} row(s), {nb} owner(s): numpy no longer sums "
-                "an (nb, k) gather of a vector with 8 pairwise accumulators "
-                "and then the k mod 8 tail in order, or an (nb, k, R) "
-                "gather over its middle axis strictly in order, so zeros "
-                "padded up to k | 7 change the sum and the level plan's "
-                "width groups (hde.dag._width_blocks) no longer keep each "
-                "node's bits")
+
+    def cells(*shape):
+        return (rng.uniform(size=shape)
+                * 10.0 ** rng.integers(-8, 9, size=shape))
+
+    if rows == 1:
+        runs = [cells(k) for k in range(1, 601)]
+        starts = np.cumsum([0] + [k + 1 for k in range(1, 600)])
+        x = np.concatenate([np.concatenate([[0.0], run]) for run in runs])
+        assert same_bits(np.add.reduceat(x, starts),
+                         np.array([run.sum() for run in runs])), (
+            "numpy's 1-D reduceat no longer adds a run led by 0.0 as "
+            "run.sum() does, so one-row TPR (tpr._run_sums in "
+            "tpr._bottom_up) changes its bits")
+        return
+    src = cells(400, rows)
+    for k in range(1, 140):
+        nb = 3
+        idx = rng.integers(0, 400, size=(nb, k))
+        run = np.concatenate([np.zeros((nb, 1, rows)), src[idx]], axis=1)
+        owner = np.repeat(np.arange(nb), k + 1)
+        got = np.bincount((owner[:, None] * rows + np.arange(rows)).ravel(),
+                          run.reshape(-1, rows).ravel(), nb * rows)
+        loop = np.zeros((nb, rows))
+        for o in range(nb):
+            for cell in run[o]:
+                loop[o] += cell
+        for want, rule in ((loop, "an in-order accumulation"),
+                           (src[idx].sum(axis=1), "the (nb, k, R) gather "
+                                                  "sum over axis 1")):
+            assert same_bits(got.reshape(nb, rows), want), (
+                f"k={k}, {rows} rows: numpy's bincount over owner * R + "
+                f"column no longer adds each run as {rule} does, so "
+                "many-row TPR (tpr._run_sums in tpr._bottom_up) changes "
+                "its bits")
 
 
 PLAN = ("down", "up", "descendants")

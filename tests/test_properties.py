@@ -1,11 +1,12 @@
 """Property tests of every correction method on random DAGs with wide hubs.
 
 The hubs give nodes many children and descendants, so the level plan's
-padded blocks come in several summation widths.  For HTD, TPR (threshold
-and adaptive selection, the w blend, both descendant modes) and ISO-TPR:
-output in [0, 1] with no violation at eps 0, HTD idempotent, and the
-isotonic projection no farther from its input than HTD's correction of it
-and certified optimal by its KKT residual.
+runs of members come in many lengths, many of them past the 8 cells
+that numpy's pairwise sum adds in one unrolled step.  For HTD, TPR
+(threshold and adaptive selection, the w blend, both descendant modes)
+and ISO-TPR: output in [0, 1] with no violation at eps 0, HTD
+idempotent, and the isotonic projection no farther from its input than
+HTD's correction of it and certified optimal by its KKT residual.
 """
 
 import numpy as np

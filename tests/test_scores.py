@@ -209,6 +209,23 @@ class TestScoresIO:
             write_scores(m, tmp_path / "new.tsv")
         assert not (tmp_path / "new.tsv").exists()
 
+    @pytest.mark.parametrize("where", ["comment", "label", "class id"])
+    def test_lone_surrogate_refused_before_writing(self, tmp_path, where):
+        # UTF-8 cannot encode it, so the file would not read back
+        bad = "a\ud800"
+        m = ScoreMatrix([bad if where == "label" else "x"],
+                        [bad if where == "class id" else "a"], [[0.1]],
+                        comments=[bad if where == "comment" else "note"])
+        path = tmp_path / "s.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(HdeError, match=re.escape(repr(bad))):
+            write_scores(m, path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        fh = io.StringIO()
+        with pytest.raises(HdeError, match=re.escape(repr(bad))):
+            write_scores_stream(m, fh)
+        assert fh.getvalue() == ""
+
     @pytest.mark.parametrize("cell", [1.5, -0.5, float("nan")])
     def test_out_of_range_cell_refused_before_writing(self, tmp_path, cell):
         # a matrix changed after construction; the file would not read back

@@ -297,6 +297,19 @@ class TestThresholdIO:
         assert back.class_ids == tv.class_ids
         assert np.array_equal(back.values, tv.values)
 
+    @pytest.mark.parametrize("class_ids, tag", [(["r", "a\ud800"], "fscore"),
+                                                (["r", "a"], "f\ud800")],
+                             ids=["class-id", "strategy"])
+    def test_lone_surrogate_refused_before_writing(self, tmp_path, class_ids,
+                                                   tag):
+        # in a class id or in the strategy comment: UTF-8 cannot encode it
+        tv = ThresholdVector(class_ids, np.array([1.0, 0.5]), tag)
+        path = tmp_path / "t.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(HdeError, match="would not read back"):
+            write_thresholds(tv, path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+
     def test_unreadable_class_id_refused_before_writing(self, tmp_path):
         # `#a` would read back as a comment, leaving only `r`; the check
         # comes before the file is opened, so a refused write leaves it as
