@@ -53,9 +53,10 @@ class Dag:
     their parents' indices concatenated in node order, and where each
     node's run of parents starts (`reduceat` offsets).  `up` holds, deepest
     first, for each level from 1 with a node that has children, (nodes,
-    members, starts): those nodes in node order, their runs of cells,
-    each the sentinel slot n and then the node's children in edge order,
-    and where each run starts.  The passes index nodes on the first axis
+    members, starts, owners): those nodes in node order, their runs of
+    cells, each the sentinel slot n and then the node's children in edge
+    order, where each run starts, and each cell's owner as its rank in
+    `nodes`, the sentinel included.  The passes index nodes on the first axis
     of their working arrays (node-major, see `topdown`), so every gather
     is a plain `W[idx]`.
     """
@@ -198,8 +199,8 @@ class Dag:
     def descendants(self) -> list:
         """`up` with descendants instead of children.
 
-        Each entry is (nodes, descendants, starts, weights): descendants in
-        node order after the sentinel slot, weighted
+        Each entry is (nodes, descendants, starts, owners, weights):
+        descendants in node order after the sentinel slot, weighted
         (d_max - dist + 1) / d_max, where dist is the longest
         node-to-descendant path and d_max the largest such dist of the node.
         """
@@ -281,19 +282,22 @@ def edge_index_arrays(dag: Dag):
 
 
 def _runs(level, owner, member, weight=None):
-    """Plan entries (nodes, members, starts[, weights]), one per level, from
-    cells grouped by owner, owners by level deepest first and then in
-    ascending order."""
+    """Plan entries (nodes, members, starts, owners[, weights]), one per
+    level, from cells grouped by owner, owners by level deepest first and
+    then in ascending order.  `owners` gives each cell's owner as its rank
+    in the entry's nodes."""
     first = np.flatnonzero(np.diff(owner, prepend=-1))
     nodes, members = owner[first], np.insert(member, first, len(level))
     starts = np.append(first + np.arange(len(first)), len(members))
+    ranks = np.repeat(np.arange(len(nodes)), np.diff(starts))
     if weight is not None:
         weights = np.insert(weight, first, 0.0)
     cut = np.flatnonzero(np.diff(level[nodes], prepend=-1)).tolist()
     entries = []
     for a, b in zip(cut, [*cut[1:], len(nodes)]):
         lo, hi = starts[a], starts[b]
-        entry = (nodes[a:b], members[lo:hi], starts[a:b] - lo)
+        entry = (nodes[a:b], members[lo:hi], starts[a:b] - lo,
+                 ranks[lo:hi] - a)
         entries.append(entry if weight is None else (*entry, weights[lo:hi]))
     return entries
 

@@ -68,10 +68,11 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
 
     Per level of the plan (children or descendants), deepest first: one
     gather of every run's cells, `(cells,)` for one row and `(cells, R)`
-    for R rows, one compare and one `where`, and `_run_sums` adds up each
-    run.  A run starts with the sentinel slot, index n: row n of the
-    working copy holds -inf, which no comparison admits into a positive
-    set, so the slot adds one leading 0.0 to each node's sums.
+    for R rows, one compare and one multiply by the mask, and `_run_sums`
+    adds up each run, grouped by the plan's `owners`.  A run starts with
+    the sentinel slot, index n: row n of the working copy holds 0.0 and
+    the mask is cleared at every run start, so whatever the owner's score
+    the slot is in no positive set and adds one leading 0.0 to each sum.
     """
     t = None
     if cfg.thresholds is not None:
@@ -86,26 +87,23 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
     linear = cfg.descendant_mode == "descendants-linear"
     rows = flat.shape[1:]  # () for one row, (R,) for R rows
     per_cell = (..., *[None] * len(rows))  # broadcast over rows
-    out = np.concatenate([flat, np.full((1, *rows), -np.inf)])
-    for ni, midx, starts, *weights in up:
+    out = np.concatenate([flat, np.zeros((1, *rows))])
+    for ni, midx, starts, owner, *weights in up:
         vals = out[midx]  # cells (x rows)
         own = flat[ni]
-        # each cell's owner, as its rank in `ni`, counted off the run starts
-        owner = np.bincount(starts[1:], minlength=len(midx)).cumsum()
-        # the bincount index of each cell: owner, or owner * R + column
-        cells = (owner if not rows
-                 else (owner[:, None] * rows[0] + np.arange(rows[0])).ravel())
         if cfg.positive_selection == "threshold":
             mask = vals > t[midx][per_cell]
         else:
             mask = vals > own[owner]
-        kept = np.where(mask, vals, 0.0)
+        mask[starts] = False  # the sentinel, whatever the owner's score
         if linear:
-            decay = weights[0][per_cell]
-            mask = mask * decay
-            kept *= decay
+            mask = mask * weights[0][per_cell]
+        vals *= mask  # each cell's share of its owner's value sum
+        # the bincount index of each cell of R rows: owner * R + column
+        cells = (None if not rows
+                 else (owner[:, None] * rows[0] + np.arange(rows[0])).ravel())
         wsum = _run_sums(mask, starts, cells)
-        vsum = _run_sums(kept, starts, cells)
+        vsum = _run_sums(vals, starts, cells)
         if cfg.w is None:
             out[ni] = (own + vsum) / (1.0 + wsum)
         else:
@@ -119,14 +117,14 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
 def _run_sums(x, starts, cells):
     """Each run's sum of `x`: (nodes,) for one row, (nodes, R) for R rows.
 
-    One row of floats: `np.add.reduceat` from each run's start, which adds
-    a run that starts with 0.0 as `run.sum()` does (numpy's pairwise sum).
-    Otherwise `np.bincount` over `cells`, each cell's owner * R + column,
-    which adds every run's cells in order; a count (boolean `x`) is exact
-    in any order.  `test_plan.py` pins both numpy rules.
+    One row: `np.add.reduceat` from each run's start, in float64, which
+    adds a run that starts with 0.0 as `run.sum()` does (numpy's pairwise
+    sum) and counts a boolean `x` exactly.  R rows: `np.bincount` over
+    `cells`, each cell's owner * R + column, which adds every run's cells
+    in order.  `test_plan.py` pins both numpy rules.
     """
-    if x.ndim == 1 and x.dtype == np.float64:
-        return np.add.reduceat(x, starts)
+    if x.ndim == 1:
+        return np.add.reduceat(x, starts, dtype=np.float64)
     return np.bincount(cells, x.ravel(), x[0].size * len(starts)).reshape(
         len(starts), *x.shape[1:])
 

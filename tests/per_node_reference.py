@@ -399,20 +399,24 @@ def plan_by_name(built):
                              [(d_max - far[j] + 1) / d_max
                               for j in sorted(far)]))
         if kids:
-            up.append(_plan_entry(n, kids)[:3])
+            up.append(_plan_entry(n, kids)[:4])
         if desc:
             descendants.append(_plan_entry(n, desc))
     return down, up, descendants
 
 
 def _plan_entry(n, runs):
-    """(nodes, members, starts, weights) from (owner, members, weights)
-    runs: each run is the sentinel n with weight 0.0, then the members."""
-    nodes, members, starts, weights = [], [], [], []
-    for owner, kin, wts in runs:
+    """(nodes, members, starts, owners, weights) from (owner, members,
+    weights) runs: each run is the sentinel n with weight 0.0, then the
+    members, and each of its cells is owned by the run's rank."""
+    nodes, members, starts, owners, weights = [], [], [], [], []
+    for rank, (owner, kin, wts) in enumerate(runs):
         nodes.append(owner)
         starts.append(len(members))
-        members += [n, *kin]
+        for member in [n, *kin]:
+            members.append(member)
+            owners.append(rank)
         weights += [0.0, *wts]
     return (np.array(nodes, dtype=np.intp), np.array(members, dtype=np.intp),
-            np.array(starts, dtype=np.intp), np.array(weights))
+            np.array(starts, dtype=np.intp), np.array(owners, dtype=np.intp),
+            np.array(weights))

@@ -218,14 +218,22 @@ class TestIsoTprCorrect:
 
         def timed(dag, z):
             t0 = time.perf_counter()
-            isotonic_project(dag, z)
-            return time.perf_counter() - t0
+            steps = isotonic_project(dag, z).iterations
+            return time.perf_counter() - t0, steps
 
         # sizes timed in adjacent pairs, as in acceptance criterion 6
-        pairs = [(timed(*rows[0]), timed(*rows[1])) for _ in range(11)]
-        ratio = float(np.median([t20 / t10 for t10, t20 in pairs]))
+        runs = np.array([[timed(*row) for row in rows] for _ in range(11)])
+        seconds, steps = runs[..., 0], runs[..., 1]
+        # the step count does not depend on the host; it grows with the
+        # edge count, which doubles (7099 -> 14385 steps, 2.03x)
+        assert (steps == steps[0]).all()
+        growth = steps[0, 1] / steps[0, 0]
+        assert growth < 2.2, (
+            f"doubling |V| scaled the Lawson-Hanson steps by {growth:.2f}")
+        # host load only adds time, so each size's fastest call is its cost
+        ratio = float(seconds[:, 1].min() / seconds[:, 0].min())
         assert ratio < 3.0, f"doubling |V| scaled the projection by {ratio:.2f}"
-        t20 = float(np.median([t for _, t in pairs]))
+        t20 = float(np.median(seconds[:, 1]))
         assert t20 < 5.0, f"a 20k-node row took {t20:.2f}s"
 
     def test_unit_thresholds_project_the_flat_scores(self):

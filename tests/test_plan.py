@@ -4,7 +4,8 @@ reference loops.
 Every variant must give bit-identical output, compared as int64 views so
 that -0.0 and 0.0 differ.  The plan holds one entry per level, and each
 node's members as a run: one sentinel slot that adds a leading 0.0, then
-the members.  The kernels work node-major and sum every run with one of
+the members, and each cell's owner as its rank among the level's nodes.
+The kernels work node-major and sum every run with one of
 two numpy operations: one row is an (n,) vector whose runs
 `np.add.reduceat` adds as `run.sum()` does (pairwise), and R rows are an
 (n, R) array whose runs `np.bincount` over owner * R + column adds in
@@ -158,6 +159,19 @@ def test_signed_zeros_and_ties_match_reference(case, rows):
     _assert_tpr_variants_match(dag, lv, y, rng.choice(cells, size=len(dag)))
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("case", range(len(DAGS)))
+def test_scores_outside_unit_interval_match_reference(case, rows):
+    """Finite scores from [-1, 2].  The sentinel slot holds 0.0, which an
+    owner scored below 0 would admit under adaptive selection, so the
+    kernels must keep the slot out of every positive set, as the
+    reference (which has no slot) does."""
+    dag, lv = DAGS[case]
+    rng = np.random.default_rng(400 + case)
+    y = rng.uniform(-1.0, 2.0, size=(rows, len(dag)))
+    _assert_tpr_variants_match(dag, lv, y, rng.uniform(size=len(dag)))
+
+
 def _corrections(t):
     """(name, row function, matrix function, extra arguments) of every
     public correction."""
@@ -194,26 +208,28 @@ def test_corrections_leave_input_and_return_fresh_arrays(writeable):
 def test_plan_levels_are_sentinel_led_runs(case):
     """One entry per level, deepest first.  Each owner's run is the
     sentinel slot n, with weight 0, and then its members: children in edge
-    order, descendants in node order, with weights > 0.  A level's cells
-    are its members plus one slot per owner, and the owners are exactly
-    the non-root nodes with at least one member."""
+    order, descendants in node order, with weights > 0; every cell of the
+    run is owned by the run's rank.  A level's cells are its members plus
+    one slot per owner, and the owners are exactly the non-root nodes with
+    at least one member."""
     dag, lv = DAGS[case]
     n = len(dag)
     ix = dag.index
-    for plan, members, width in ((lv.up, dag.children, 3),
+    for plan, members, width in ((lv.up, dag.children, 4),
                                  (lv.descendants, partial(descendants, dag),
-                                  4)):
+                                  5)):
         depths = [lv.dist[dag.nodes[entry[0][0]]] for entry in plan]
         assert depths == sorted(set(depths), reverse=True)
         owners = []
-        for d, (ni, midx, starts, *weights) in zip(depths, plan):
-            assert len(ni) == len(starts) and 3 + len(weights) == width
+        for d, (ni, midx, starts, owner, *weights) in zip(depths, plan):
+            assert len(ni) == len(starts) and 4 + len(weights) == width
             kin = [[ix(m) for m in members(dag.nodes[i])] for i in ni]
-            assert len(midx) == sum(map(len, kin)) + len(ni)
-            for i, a, b, want in zip(ni, starts, [*starts[1:], len(midx)],
-                                     kin):
+            assert len(midx) == len(owner) == sum(map(len, kin)) + len(ni)
+            for rank, (i, a, b, want) in enumerate(zip(
+                    ni, starts, [*starts[1:], len(midx)], kin)):
                 assert lv.dist[dag.nodes[i]] == d
                 assert midx[a] == n and list(midx[a + 1:b]) == want
+                assert list(owner[a:b]) == [rank] * (b - a)
                 if weights:
                     assert weights[0][a] == 0
                     assert (weights[0][a + 1:b] > 0).all()
