@@ -49,16 +49,17 @@ class Dag:
     By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
     path and `levels[d]` lists the nodes at distance `d` in node order.
     The plan is integer, one entry per level: `down` holds, for levels
-    1..max_level, (nodes, parents, offsets): the level's node indices,
-    their parents' indices concatenated in node order, and where each
-    node's run of parents starts (`reduceat` offsets).  `up` holds, deepest
-    first, for each level from 1 with a node that has children, (nodes,
-    members, starts, owners): those nodes in node order, their runs of
-    cells, each the sentinel slot n and then the node's children in edge
-    order, where each run starts, and each cell's owner as its rank in
-    `nodes`, the sentinel included.  The passes index nodes on the first axis
-    of their working arrays (node-major, see `topdown`), so every gather
-    is a plain `W[idx]`.
+    1..max_level, (nodes, parents, offsets, ranks): the level's node
+    indices, their parents' indices concatenated in node order, where each
+    node's run of parents starts (`reduceat` offsets), and each parent
+    cell's node as its rank in `nodes` (`minimum.at` indices).  `up`
+    holds, deepest first, for each level from 1 with a node that has
+    children, (nodes, members, starts, owners): those nodes in node order,
+    their runs of cells, each the sentinel slot n and then the node's
+    children in edge order, where each run starts, and each cell's owner
+    as its rank in `nodes`, the sentinel included.  The passes index nodes
+    on the first axis of their working arrays (node-major, see `topdown`),
+    so every gather is a plain `W[idx]`.
     """
 
     def __init__(self, nodes, root, synthetic_root_flag, index, pi, ci):
@@ -184,7 +185,8 @@ class Dag:
         for d in range(1, max_level + 1):
             ni = nodes[node_at[d]:node_at[d + 1]]
             down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
-                         np.cumsum(indeg[ni]) - indeg[ni]))
+                         np.cumsum(indeg[ni]) - indeg[ni],
+                         np.repeat(np.arange(len(ni)), indeg[ni])))
         return down
 
     @cached_property
@@ -212,7 +214,7 @@ class Dag:
         reach = {}
         pending = np.bincount(self._ci, minlength=len(self.nodes)).tolist()
         plan = []
-        for level_nodes, _, _ in reversed(self.down):
+        for level_nodes, *_ in reversed(self.down):
             owners, members, lengths, longest = [], [], [], []
             for n in level_nodes.tolist():
                 far = {}
@@ -243,9 +245,26 @@ class Dag:
         for R rows.  Level by level from the root, so every parent is final
         before its children; the root keeps its `ref` score.  HTD is
         topdown(flat), TPR's last phase topdown(bottom-up output).
+
+        One rule per shape, both folding `np.minimum` over each node's
+        `[ref, parent 1, ..., parent k]`, so both give the same bits, ties
+        of -0.0 and 0.0 included (of NaNs whose bits differ, reduceat's
+        vector lanes may keep another one).  One row: `np.minimum.at`
+        seeded with the level's `ref`, indexed by the parents' `ranks`,
+        which takes less time than `reduceat` on a vector.  R rows:
+        `np.minimum.reduceat` over the `offsets`, then `np.minimum` with
+        `ref`, which takes about half the time of `minimum.at` on R columns.
         """
         out = ref.copy()
-        for nodes, parents, offsets in self.down:
+        if ref.ndim == 1:
+            # minimum.at warns of a NaN, which the batch rule passes quietly
+            with np.errstate(invalid="ignore"):
+                for nodes, parents, _, ranks in self.down:
+                    acc = ref[nodes]
+                    np.minimum.at(acc, ranks, out[parents])
+                    out[nodes] = acc
+            return out
+        for nodes, parents, offsets, _ in self.down:
             out[nodes] = np.minimum(
                 ref[nodes], np.minimum.reduceat(out[parents], offsets))
         return out

@@ -69,10 +69,13 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
     Per level of the plan (children or descendants), deepest first: one
     gather of every run's cells, `(cells,)` for one row and `(cells, R)`
     for R rows, one compare and one multiply by the mask, and `_run_sums`
-    adds up each run, grouped by the plan's `owners`.  A run starts with
-    the sentinel slot, index n: row n of the working copy holds 0.0 and
-    the mask is cleared at every run start, so whatever the owner's score
-    the slot is in no positive set and adds one leading 0.0 to each sum.
+    adds up each run's count of positives and value sum, grouped by the
+    plan's `owners`: one row counts with `np.bincount`, exact in any
+    order, and keeps `reduceat` for the value sums and linear weights,
+    whose bits depend on the order.  A run starts with the sentinel slot,
+    index n: row n of the working copy holds 0.0 and the mask is cleared
+    at every run start, so whatever the owner's score the slot is in no
+    positive set and adds one leading 0.0 to each sum.
     """
     t = None
     if cfg.thresholds is not None:
@@ -99,8 +102,9 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
         if linear:
             mask = mask * weights[0][per_cell]
         vals *= mask  # each cell's share of its owner's value sum
-        # the bincount index of each cell of R rows: owner * R + column
-        cells = (None if not rows
+        # each cell's bincount index: its owner for one row, and
+        # owner * R + column for R rows
+        cells = (owner if not rows
                  else (owner[:, None] * rows[0] + np.arange(rows[0])).ravel())
         wsum = _run_sums(mask, starts, cells)
         vsum = _run_sums(vals, starts, cells)
@@ -117,14 +121,15 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
 def _run_sums(x, starts, cells):
     """Each run's sum of `x`: (nodes,) for one row, (nodes, R) for R rows.
 
-    One row: `np.add.reduceat` from each run's start, in float64, which
-    adds a run that starts with 0.0 as `run.sum()` does (numpy's pairwise
-    sum) and counts a boolean `x` exactly.  R rows: `np.bincount` over
-    `cells`, each cell's owner * R + column, which adds every run's cells
-    in order.  `test_plan.py` pins both numpy rules.
+    A float row: `np.add.reduceat` from each run's start, which adds a run
+    that starts with 0.0 as `run.sum()` does (numpy's pairwise sum).
+    Otherwise `np.bincount` over `cells`, each cell's owner (one row) or
+    owner * R + column (R rows): it adds every run's cells in order, and
+    counts a boolean row exactly, as reduceat does, in less time.
+    `test_plan.py` pins these numpy rules.
     """
-    if x.ndim == 1:
-        return np.add.reduceat(x, starts, dtype=np.float64)
+    if x.ndim == 1 and x.dtype != bool:
+        return np.add.reduceat(x, starts)
     return np.bincount(cells, x.ravel(), x[0].size * len(starts)).reshape(
         len(starts), *x.shape[1:])
 

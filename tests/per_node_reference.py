@@ -356,25 +356,23 @@ def build_by_name(edges, dedup=False):
 
 def plan_by_name(built):
     """(down, up, descendants) of the level plan of `build_by_name`'s
-    result: level array from `dist`, edges mapped to indices one by one,
-    descendant maps merged through the name dicts."""
+    result: each level's nodes walked by name, their parents in edge order
+    with the node's rank in the level, descendant maps merged through the
+    name dicts."""
     ix = {m: i for i, m in enumerate(built.nodes)}
     n = len(built.nodes)
     max_level = max(built.levels)
-    level = np.array([built.dist[m] for m in built.nodes], dtype=np.intp)
-    pi = np.array([ix[p] for p, _ in built.edges], dtype=np.intp)
-    ci = np.array([ix[c] for _, c in built.edges], dtype=np.intp)
-    nodes = np.argsort(level, kind="stable")
-    by_child = np.lexsort((ci, level[ci]))
-    parents = pi[by_child]
-    node_at = np.searchsorted(level[nodes], np.arange(max_level + 2))
-    edge_at = np.searchsorted(level[ci[by_child]], np.arange(max_level + 2))
-    indeg = np.bincount(ci, minlength=n)
     down = []
     for d in range(1, max_level + 1):
-        ni = nodes[node_at[d]:node_at[d + 1]]
-        down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
-                     np.cumsum(indeg[ni]) - indeg[ni]))
+        nodes, parents, offsets, ranks = [], [], [], []
+        for rank, m in enumerate(built.levels[d]):
+            nodes.append(ix[m])
+            offsets.append(len(parents))
+            for p in built.parents[m]:
+                parents.append(ix[p])
+                ranks.append(rank)
+        down.append(tuple(np.array(a, dtype=np.intp)
+                          for a in (nodes, parents, offsets, ranks)))
     up, descendants = [], []
     reach = {}
     pending = {m: len(ps) for m, ps in built.parents.items()}

@@ -9,8 +9,10 @@ The kernels work node-major and sum every run with one of
 two numpy operations: one row is an (n,) vector whose runs
 `np.add.reduceat` adds as `run.sum()` does (pairwise), and R rows are an
 (n, R) array whose runs `np.bincount` over owner * R + column adds in
-order, as the reference's many-row sum does.  Both batch sizes are
-checked, and so are those two numpy rules themselves.
+order, as the reference's many-row sum does.  One row counts its
+positives with `np.bincount` and takes its top-down minima with
+`np.minimum.at`, which give the bits of the `reduceat` forms.  Both
+batch sizes are checked, and so are these numpy rules themselves.
 """
 
 import gc
@@ -238,6 +240,23 @@ def test_plan_levels_are_sentinel_led_runs(case):
             ix(m) for m in dag.nodes if lv.dist[m] > 0 and members(m))
 
 
+@pytest.mark.parametrize("case", range(len(DAGS)))
+def test_plan_down_levels_are_parent_runs(case):
+    """One entry per level from 1 down: the level's nodes in node order,
+    their parents' runs concatenated, each in edge order, the offset of
+    each run, so that the offsets' differences are the run lengths, and
+    each parent cell's node rank in the level."""
+    dag, lv = DAGS[case]
+    assert len(lv.down) == lv.max_level
+    for d, (ni, parents, offsets, ranks) in enumerate(lv.down, start=1):
+        assert [dag.nodes[i] for i in ni] == list(lv.levels[d])
+        runs = [[dag.index(p) for p in dag.parents(dag.nodes[i])]
+                for i in ni]
+        assert list(parents) == [p for run in runs for p in run]
+        assert list(np.diff([*offsets, len(parents)])) == list(map(len, runs))
+        assert list(ranks) == [r for r, run in enumerate(runs) for _ in run]
+
+
 @pytest.mark.parametrize("rows", [1, 2, 50])
 def test_numpy_run_sums_keep_bits(rows):
     """The numpy rules `tpr._run_sums` relies on.  One row: a 1-D
@@ -283,6 +302,42 @@ def test_numpy_run_sums_keep_bits(rows):
                 f"column no longer adds each run as {rule} does, so "
                 "many-row TPR (tpr._run_sums in tpr._bottom_up) changes "
                 "its bits")
+
+
+@pytest.mark.parametrize("draw", ["ties", "uniform"])
+def test_numpy_one_row_reductions_keep_bits(draw):
+    """The numpy rules the one-row path relies on, over runs of lengths
+    1-600 in shuffled order.  `np.minimum.at` seeded with each node's own
+    score folds the runs to the bits of `np.minimum` of that score and the
+    run's `np.minimum.reduceat`, signed zeros and NaNs included (NaNs of
+    one bit pattern: in a long run of NaNs whose signs differ, reduceat's
+    vector lanes may keep another one than the first).  `np.bincount` over
+    each cell's owner counts a boolean mask as `np.add.reduceat` in
+    float64 does."""
+    rng = np.random.default_rng(27)
+    lengths = rng.permutation(np.arange(1, 601))
+    offsets = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    cells = lengths.sum()
+    if draw == "ties":
+        values = np.array([-0.0, 0.0, 0.5, 1.0, np.nan])
+        g, own = rng.choice(values, cells), rng.choice(values, len(lengths))
+    else:
+        g, own = rng.uniform(size=cells), rng.uniform(size=len(lengths))
+    with np.errstate(invalid="ignore"):  # minimum.at warns of a NaN
+        got = own.copy()
+        np.minimum.at(got, owner, g)
+    assert same_bits(got, np.minimum(own, np.minimum.reduceat(g, offsets))), (
+        "numpy's minimum.at no longer folds a run as minimum.reduceat and "
+        "minimum do, so one-row HTD and TPR phase C (Dag.topdown) change "
+        "their bits")
+    mask = g > rng.uniform(size=cells)
+    mask[offsets] = False
+    assert same_bits(np.bincount(owner, mask, len(lengths)),
+                     np.add.reduceat(mask, offsets, dtype=np.float64)), (
+        "numpy's bincount over owners no longer counts a boolean mask as "
+        "add.reduceat does, so one-row TPR's positive counts "
+        "(tpr._run_sums in tpr._bottom_up) change their bits")
 
 
 PLAN = ("down", "up", "descendants")

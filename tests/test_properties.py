@@ -6,7 +6,8 @@ that numpy's pairwise sum adds in one unrolled step.  For HTD, TPR
 (threshold and adaptive selection, the w blend, both descendant modes)
 and ISO-TPR: output in [0, 1] with no violation at eps 0, HTD
 idempotent, and the isotonic projection no farther from its input than
-HTD's correction of it and certified optimal by its KKT residual.
+HTD's correction of it and certified optimal by its KKT residual.  HTD
+gives a row the same bits alone as in a batch.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hde import (
     build_dag,
     check_valid_continuous,
     compute_levels,
+    htd_correct,
     htd_correct_matrix,
     iso_tpr_correct_matrix,
     tpr_correct_matrix,
@@ -72,6 +74,25 @@ def test_htd_and_tpr_are_consistent(taxonomy, rows, seed):
     assert np.array_equal(htd_correct_matrix(dag, lv, h), h)
     for cfg in configs(len(dag), rng):
         consistent(dag, tpr_correct_matrix(dag, lv, flat, cfg))
+
+
+@PROPERTY_SETTINGS
+@given(taxonomy=wide_taxonomies(), rows=st.sampled_from([2, 7, 64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_htd_row_has_its_batch_bits(taxonomy, rows, seed):
+    """A row corrected alone (`np.minimum.at` per level) and inside a batch
+    (`np.minimum.reduceat`) gets the same bits: a minimum is exact, and
+    both rules keep the same zero of a -0.0/0.0 tie.  Half the scores are
+    drawn from {-0.0, 0.0, 0.5, 1.0}, so ties are everywhere."""
+    dag, lv = taxonomy
+    rng = np.random.default_rng(seed)
+    flat = rng.uniform(size=(rows, len(dag)))
+    ties = rng.random(size=flat.shape) < 0.5
+    flat[ties] = rng.choice([-0.0, 0.0, 0.5, 1.0], size=ties.sum())
+    batch = htd_correct_matrix(dag, lv, flat)
+    for row, want in zip(flat, batch):
+        assert np.array_equal(htd_correct(dag, lv, row).view(np.int64),
+                              want.view(np.int64))
 
 
 @PROPERTY_SETTINGS
