@@ -49,14 +49,12 @@ class Dag:
     By name, `dist[n]` is the length (edge count) of the longest root-to-`n`
     path and `levels[d]` lists the nodes at distance `d` in node order.
     The plan is integer, one entry per level: `down` holds, for levels
-    1..max_level, (nodes, parents, offsets, ranks): the level's node
-    indices, their parents' indices concatenated in node order, where each
-    node's run of parents starts (`reduceat` offsets), and each parent
-    cell's node as its rank in `nodes` (`minimum.at` indices).  `up`
-    holds, deepest first, for each level from 1 with a node that has
-    children, (nodes, members, starts, owners): those nodes in node order,
-    their runs of cells, each the sentinel slot n and then the node's
-    children in edge order, where each run starts, and each cell's owner
+    1..max_level, (parents, kids): the parent and child indices of the
+    edges whose child is on that level, in edge order.  `up` holds,
+    deepest first, for each level from 1 with a node that has children,
+    (nodes, members, starts, owners): those nodes in node order, their
+    runs of cells, each the sentinel slot n and then the node's children
+    in edge order, where each run starts, and each cell's owner
     as its rank in `nodes`, the sentinel included.  The passes index nodes
     on the first axis of their working arrays (node-major, see `topdown`),
     so every gather is a plain `W[idx]`.
@@ -172,22 +170,13 @@ class Dag:
     @cached_property
     def down(self) -> list:
         level, pi, ci = self._level, self._pi, self._ci
-        max_level = self.max_level
-        # nodes by (level, index); edges by (child level, child, edge order)
-        nodes = np.argsort(level, kind="stable")
-        by_child = np.lexsort((ci, level[ci]))
-        parents = pi[by_child]
-        node_at = np.searchsorted(level[nodes], np.arange(max_level + 2))
-        edge_at = np.searchsorted(level[ci[by_child]],
-                                  np.arange(max_level + 2))
-        indeg = np.bincount(ci, minlength=len(level))
-        down = []
-        for d in range(1, max_level + 1):
-            ni = nodes[node_at[d]:node_at[d + 1]]
-            down.append((ni, parents[edge_at[d]:edge_at[d + 1]],
-                         np.cumsum(indeg[ni]) - indeg[ni],
-                         np.repeat(np.arange(len(ni)), indeg[ni])))
-        return down
+        # edges by child level, in edge order within a level; no child is
+        # on level 0
+        by_level = np.argsort(level[ci], kind="stable")
+        parents, kids = pi[by_level], ci[by_level]
+        at = np.searchsorted(level[kids],
+                             np.arange(1, self.max_level + 2)).tolist()
+        return [(parents[a:b], kids[a:b]) for a, b in zip(at, at[1:])]
 
     @cached_property
     def up(self) -> list:
@@ -207,6 +196,9 @@ class Dag:
         node-to-descendant path and d_max the largest such dist of the node.
         """
         kid_ix, kid_at = _csr(self._pi, self._ci, len(self.nodes))
+        # the nodes by level, in node order within a level
+        by_level, level_at = _csr(self._level, np.arange(len(self.nodes)),
+                                  self.max_level + 1)
         # longest path from each node to each of its descendants, merged from
         # the children's maps deepest level first; a map is dropped once every
         # parent has merged it, and entries are made per level to keep the
@@ -214,9 +206,9 @@ class Dag:
         reach = {}
         pending = np.bincount(self._ci, minlength=len(self.nodes)).tolist()
         plan = []
-        for level_nodes, *_ in reversed(self.down):
+        for d in range(self.max_level, 0, -1):
             owners, members, lengths, longest = [], [], [], []
-            for n in level_nodes.tolist():
+            for n in by_level[level_at[d]:level_at[d + 1]]:
                 far = {}
                 for c in kid_ix[kid_at[n]:kid_at[n + 1]]:
                     far.setdefault(c, 1)
@@ -246,27 +238,16 @@ class Dag:
         before its children; the root keeps its `ref` score.  HTD is
         topdown(flat), TPR's last phase topdown(bottom-up output).
 
-        One rule per shape, both folding `np.minimum` over each node's
-        `[ref, parent 1, ..., parent k]`, so both give the same bits, ties
-        of -0.0 and 0.0 included (of NaNs whose bits differ, reduceat's
-        vector lanes may keep another one).  One row: `np.minimum.at`
-        seeded with the level's `ref`, indexed by the parents' `ranks`,
-        which takes less time than `reduceat` on a vector.  R rows:
-        `np.minimum.reduceat` over the `offsets`, then `np.minimum` with
-        `ref`, which takes about half the time of `minimum.at` on R columns.
+        One rule for both shapes: per level, `np.minimum.at` of the
+        parents' rows into the kids' rows, edge by edge.  A kid still
+        holds its `ref` when its level is reached and its parents lie on
+        lower levels, so each node, each column alike, folds `np.minimum`
+        over `[ref, parent 1, ..., parent k]` in edge order.
         """
         out = ref.copy()
-        if ref.ndim == 1:
-            # minimum.at warns of a NaN, which the batch rule passes quietly
-            with np.errstate(invalid="ignore"):
-                for nodes, parents, _, ranks in self.down:
-                    acc = ref[nodes]
-                    np.minimum.at(acc, ranks, out[parents])
-                    out[nodes] = acc
-            return out
-        for nodes, parents, offsets, _ in self.down:
-            out[nodes] = np.minimum(
-                ref[nodes], np.minimum.reduceat(out[parents], offsets))
+        with np.errstate(invalid="ignore"):  # minimum.at warns of a NaN
+            for parents, kids in self.down:
+                np.minimum.at(out, kids, out[parents])
         return out
 
 

@@ -14,9 +14,9 @@ def _check_aligned(dag: Dag, levels: Dag, flat) -> np.ndarray:
     flat = np.atleast_2d(np.asarray(flat, dtype=np.float64))
     if levels is not dag:  # what compute_levels(dag) returns
         raise AlignmentError("levels were computed from a different Dag")
-    if flat.shape[-1] != len(dag):
-        raise AlignmentError(
-            f"{flat.shape[-1]} scores for a {len(dag)}-node taxonomy")
+    if flat.ndim > 2 or flat.shape[-1] != len(dag):
+        raise AlignmentError(f"scores of shape {flat.shape} for a "
+                             f"{len(dag)}-node taxonomy")
     return flat[0] if len(flat) == 1 else np.ascontiguousarray(flat.T)
 
 

@@ -109,8 +109,12 @@ def count_violations(dag: Dag, values: np.ndarray, eps: float = 0.0) -> int:
 def _violation_mask(dag: Dag, values: np.ndarray, eps: float = 0.0):
     """(rows, edges) mask of child > parent + eps, edges in `dag.edges`
     order: the one statement of the rule that every violation check uses.
-    A non-finite eps is a ValueError: every comparison with NaN is false,
-    so it would pass every row as valid."""
+    `values` must be (rows, len(dag)), else AlignmentError.  A non-finite
+    eps is a ValueError: every comparison with NaN is false, so it would
+    pass every row as valid."""
+    if values.ndim != 2 or values.shape[1] != len(dag):
+        raise AlignmentError(f"scores of shape {values.shape} for a "
+                             f"{len(dag)}-node taxonomy")
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
     pi, ci = edge_index_arrays(dag)

@@ -356,23 +356,20 @@ def build_by_name(edges, dedup=False):
 
 def plan_by_name(built):
     """(down, up, descendants) of the level plan of `build_by_name`'s
-    result: each level's nodes walked by name, their parents in edge order
-    with the node's rank in the level, descendant maps merged through the
-    name dicts."""
+    result: each level's edges walked by name in edge order, each level's
+    nodes walked by name, descendant maps merged through the name dicts."""
     ix = {m: i for i, m in enumerate(built.nodes)}
     n = len(built.nodes)
     max_level = max(built.levels)
     down = []
     for d in range(1, max_level + 1):
-        nodes, parents, offsets, ranks = [], [], [], []
-        for rank, m in enumerate(built.levels[d]):
-            nodes.append(ix[m])
-            offsets.append(len(parents))
-            for p in built.parents[m]:
+        parents, kids = [], []
+        for p, c in built.edges:
+            if built.dist[c] == d:
                 parents.append(ix[p])
-                ranks.append(rank)
-        down.append(tuple(np.array(a, dtype=np.intp)
-                          for a in (nodes, parents, offsets, ranks)))
+                kids.append(ix[c])
+        down.append((np.array(parents, dtype=np.intp),
+                     np.array(kids, dtype=np.intp)))
     up, descendants = [], []
     reach = {}
     pending = {m: len(ps) for m, ps in built.parents.items()}

@@ -10,7 +10,9 @@ from hde import (
     htd_correct,
     htd_correct_matrix,
     iso_tpr_correct,
+    iso_tpr_correct_matrix,
     tpr_correct,
+    tpr_correct_matrix,
 )
 
 from conftest import (random_dag, random_scores, shuffle_parent_runs,
@@ -126,3 +128,15 @@ def test_row_functions_reject_a_matrix(diamond, correct):
     dag, lv = diamond
     with pytest.raises(AlignmentError, match="^expected a 1-D score row$"):
         correct(dag, lv, [[0.9, 0.5, 0.7, 0.6]])
+
+
+@pytest.mark.parametrize("correct", [
+    htd_correct_matrix,
+    lambda dag, lv, y: tpr_correct_matrix(dag, lv, y, threshold_config(dag)),
+    lambda dag, lv, y: iso_tpr_correct_matrix(dag, lv, y,
+                                              threshold_config(dag))],
+    ids=["htd", "tpr", "iso-tpr"])
+def test_matrix_functions_reject_three_axes(diamond, correct):
+    dag, lv = diamond
+    with pytest.raises(AlignmentError, match=r"shape \(2, 2, 4\)"):
+        correct(dag, lv, np.full((2, 2, 4), 0.5))

@@ -10,9 +10,11 @@ two numpy operations: one row is an (n,) vector whose runs
 `np.add.reduceat` adds as `run.sum()` does (pairwise), and R rows are an
 (n, R) array whose runs `np.bincount` over owner * R + column adds in
 order, as the reference's many-row sum does.  One row counts its
-positives with `np.bincount` and takes its top-down minima with
-`np.minimum.at`, which give the bits of the `reduceat` forms.  Both
-batch sizes are checked, and so are these numpy rules themselves.
+positives with `np.bincount`, which gives the bits of the `reduceat`
+form.  The top-down sweep has one rule for both: per level,
+`np.minimum.at` of the parents' rows into the kids' rows along the
+level's edges.  Both batch sizes are checked, and so are these numpy
+rules themselves.
 """
 
 import gc
@@ -241,20 +243,25 @@ def test_plan_levels_are_sentinel_led_runs(case):
 
 
 @pytest.mark.parametrize("case", range(len(DAGS)))
-def test_plan_down_levels_are_parent_runs(case):
-    """One entry per level from 1 down: the level's nodes in node order,
-    their parents' runs concatenated, each in edge order, the offset of
-    each run, so that the offsets' differences are the run lengths, and
-    each parent cell's node rank in the level."""
+def test_plan_down_levels_cut_the_edge_list(case):
+    """One entry per level from 1 down, (parents, kids): the edges whose
+    child lies on that level, in edge order, with every parent on a lower
+    level.  Put end to end, the entries are the edge list, and each
+    child's parents come in edge order."""
     dag, lv = DAGS[case]
     assert len(lv.down) == lv.max_level
-    for d, (ni, parents, offsets, ranks) in enumerate(lv.down, start=1):
-        assert [dag.nodes[i] for i in ni] == list(lv.levels[d])
-        runs = [[dag.index(p) for p in dag.parents(dag.nodes[i])]
-                for i in ni]
-        assert list(parents) == [p for run in runs for p in run]
-        assert list(np.diff([*offsets, len(parents)])) == list(map(len, runs))
-        assert list(ranks) == [r for r, run in enumerate(runs) for _ in run]
+    position = {edge: k for k, edge in enumerate(dag.edges)}
+    edges = []
+    for d, (parents, kids) in enumerate(lv.down, start=1):
+        level = [(dag.nodes[p], dag.nodes[c])
+                 for p, c in zip(parents.tolist(), kids.tolist())]
+        assert all(lv.dist[c] == d and lv.dist[p] < d for p, c in level)
+        at = [position[edge] for edge in level]
+        assert at == sorted(at)
+        edges += level
+    assert sorted(edges) == sorted(dag.edges)
+    for m in dag.nodes:
+        assert tuple(p for p, c in edges if c == m) == dag.parents(m)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 50])
@@ -305,39 +312,53 @@ def test_numpy_run_sums_keep_bits(rows):
 
 
 @pytest.mark.parametrize("draw", ["ties", "uniform"])
-def test_numpy_one_row_reductions_keep_bits(draw):
-    """The numpy rules the one-row path relies on, over runs of lengths
-    1-600 in shuffled order.  `np.minimum.at` seeded with each node's own
-    score folds the runs to the bits of `np.minimum` of that score and the
-    run's `np.minimum.reduceat`, signed zeros and NaNs included (NaNs of
-    one bit pattern: in a long run of NaNs whose signs differ, reduceat's
-    vector lanes may keep another one than the first).  `np.bincount` over
-    each cell's owner counts a boolean mask as `np.add.reduceat` in
-    float64 does."""
+def test_numpy_minimum_at_folds_and_bincount_counts(draw):
+    """The numpy rules of the top-down sweep and of one-row TPR's counts,
+    over runs of lengths 1-600 whose cells come in shuffled order.
+    `np.minimum.at(out, kids, out[parents])` gives each kid the bits of a
+    left fold of `np.minimum` over `[own score, parent 1, ..., parent k]`,
+    signed zeros included, on an (n,) vector and on (n, R) arrays for R
+    in 2, 7 and 64 (every 8th length, to keep the arrays near 10 MB).
+    `np.bincount` over each cell's owner counts a boolean mask as
+    `np.add.reduceat` in float64 does."""
     rng = np.random.default_rng(27)
+
+    def draw_values(*shape):
+        if draw == "ties":
+            return rng.choice([-0.0, 0.0, 0.5, 1.0], size=shape)
+        return rng.uniform(size=shape)
+
     lengths = rng.permutation(np.arange(1, 601))
     offsets = np.cumsum(lengths) - lengths
     owner = np.repeat(np.arange(len(lengths)), lengths)
-    cells = lengths.sum()
-    if draw == "ties":
-        values = np.array([-0.0, 0.0, 0.5, 1.0, np.nan])
-        g, own = rng.choice(values, cells), rng.choice(values, len(lengths))
-    else:
-        g, own = rng.uniform(size=cells), rng.uniform(size=len(lengths))
-    with np.errstate(invalid="ignore"):  # minimum.at warns of a NaN
-        got = own.copy()
-        np.minimum.at(got, owner, g)
-    assert same_bits(got, np.minimum(own, np.minimum.reduceat(g, offsets))), (
-        "numpy's minimum.at no longer folds a run as minimum.reduceat and "
-        "minimum do, so one-row HTD and TPR phase C (Dag.topdown) change "
-        "their bits")
-    mask = g > rng.uniform(size=cells)
+    mask = draw_values(owner.size) > rng.uniform(size=owner.size)
     mask[offsets] = False
     assert same_bits(np.bincount(owner, mask, len(lengths)),
                      np.add.reduceat(mask, offsets, dtype=np.float64)), (
         "numpy's bincount over owners no longer counts a boolean mask as "
         "add.reduceat does, so one-row TPR's positive counts "
         "(tpr._run_sums in tpr._bottom_up) change their bits")
+    for rows, step in (((), 1), ((2,), 1), ((7,), 1), ((64,), 8)):
+        lengths = rng.permutation(np.arange(1, 601, step))
+        k, cells = len(lengths), lengths.sum()
+        # kids 0..k-1, each with its run of parents k.. in shuffled order
+        kids = rng.permutation(np.repeat(np.arange(k), lengths))
+        parents = k + np.arange(cells)
+        out = draw_values(k + cells, *rows)
+        got = out.copy()
+        np.minimum.at(got, kids, got[parents])
+        # the fold, one run position at a time over every run that long
+        order = np.argsort(kids, kind="stable")
+        pos = np.arange(cells) - np.repeat(np.cumsum(lengths) - lengths,
+                                           lengths)
+        want = out[:k].copy()
+        for j in range(lengths.max()):
+            at = order[pos == j]
+            want[kids[at]] = np.minimum(want[kids[at]], out[parents[at]])
+        assert same_bits(got[:k], want), (
+            f"rows {rows}: numpy's minimum.at no longer folds each index's "
+            "values in order, so HTD and TPR phase C (Dag.topdown) change "
+            "their bits")
 
 
 PLAN = ("down", "up", "descendants")

@@ -91,6 +91,12 @@ class TestContinuousValidity:
         with pytest.raises(ValueError, match="eps must be finite"):
             count_violations(dag, [[0.5, 0.6]], eps=eps)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 5), (2, 4, 1)])
+    def test_count_violations_rejects_a_misaligned_matrix(
+            self, diamond_dag, shape):
+        with pytest.raises(AlignmentError, match="4-node taxonomy"):
+            count_violations(diamond_dag, np.full(shape, 0.5))
+
     def test_count_violations_matches_per_row_reports(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
