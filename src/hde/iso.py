@@ -86,11 +86,20 @@ def _forest_lawson_hanson(z, pi, ci):
     largest first, ties by edge index, so its first pick is the edge with
     the largest gap.  The scan is then walked in order: an edge is taken
     only if its current gap is still at least its scanned one, else it
-    waits for the next scan.  Each edge taken is one step: it merges two
-    trees, and if the merged tree's flows are not all positive, the usual
+    waits for the next scan.  The solve stops when a scan finds no gap
+    above 1e-12.
+
+    Each tree is rooted: it keeps its nodes root first, and each node its
+    root and a link (tree parent, edge, +-1.0).  An edge taken is one
+    step.  It hangs the smaller of its two trees below its end in the
+    larger, so the merge walks the smaller tree, to re-root it, and then
+    the merged tree once, leaves first: that pass sums z - mean below
+    each node into its edge's new lam and keeps the old lam beside it.
+    The new edge's lam is then a sum over the smaller tree, so its
+    rounding stays far below it.  If a lam is not positive, the usual
     step back to the feasible boundary drops the edges whose lam reaches
-    zero, and only the trees that split are solved again.  The solve
-    stops when a scan finds no gap above 1e-12.
+    zero, each cutting its lower side off as a tree of its own, and every
+    piece is solved again.
 
     Lawson and Hanson's entering column needs only a positive dual
     gradient, not the largest (Solving Least Squares Problems, 1974,
@@ -102,42 +111,35 @@ def _forest_lawson_hanson(z, pi, ci):
     n, m = z.size, pi.size
     zl, pl, cl = z.tolist(), pi.tolist(), ci.tolist()
     adj = [[] for _ in range(n)]  # forest edges at each node
-    lam = {}  # forest edge -> its dual value, > 0 between steps
+    root = list(range(n))
+    # below a root, each node's link: its tree parent, the edge to it, and
+    # +1.0 if the node is that edge's child, else -1.0
+    up, via, sign = [0] * n, [0] * n, [0.0] * n
+    trees = {}  # root -> its tree's nodes, root first; none for one node
+    mean = zl[:]  # each tree's mean, at its root
+    lam = [0.0] * m  # each forest edge's dual value, > 0 between steps
+    old = [0.0] * m  # lam before the last solve, for the step back
     acc = [0.0] * n  # scratch: sum of z - mean below a node
-    yl = zl[:]  # mean of each node's tree
-    size = [1] * n  # node count of each node's tree
 
-    def solve(start, flow):
-        """start's tree, with its mean and size set in `yl` and `size`;
-        its edges' lam go into `flow`."""
-        order, via = [start], [-1]  # breadth first; grows while walked
-        for v, e_in in zip(order, via):
-            for e in adj[v]:
-                if e != e_in:
-                    order.append(cl[e] if pl[e] == v else pl[e])
-                    via.append(e)
-        k = len(order)
-        mean = math.fsum([zl[v] for v in order]) / k
-        for j in range(k - 1, 0, -1):
-            v, e = order[j], via[j]
-            yl[v] = mean
-            size[v] = k
-            s = zl[v] - mean + acc[v]
+    def solve(r, neg):
+        """Tree r's mean and its edges' lam; edges whose lam is not
+        positive go into `neg`."""
+        order = trees[r]
+        mu = mean[r] = math.fsum([zl[v] for v in order]) / len(order)
+        for v in order[:0:-1]:
+            e = via[v]
+            s = zl[v] - mu + acc[v]
             acc[v] = 0.0
-            if cl[e] == v:
-                flow[e] = s
-                acc[pl[e]] += s
-            else:
-                flow[e] = -s
-                acc[cl[e]] += s
-        yl[start] = mean
-        size[start] = k
-        acc[start] = 0.0
-        return order
+            acc[up[v]] += s
+            old[e] = lam[e]
+            lam[e] = f = sign[v] * s
+            if f <= 0.0:
+                neg.append(e)
+        acc[r] = 0.0
 
     steps = 0
     while m:
-        y = np.array(yl)
+        y = np.array(mean)[root]
         w = y[ci] - y[pi]
         scan = np.flatnonzero(w > _TOL)
         if not scan.size:
@@ -145,7 +147,7 @@ def _forest_lawson_hanson(z, pi, ci):
         scan = scan[np.argsort(-w[scan], kind="stable")]
         for t, gap in zip(scan.tolist(), w[scan].tolist()):
             p, c = pl[t], cl[t]
-            if yl[c] - yl[p] < gap:
+            if mean[root[c]] - mean[root[p]] < gap:
                 continue
             steps += 1
             if steps > _STEPS_PER_EDGE * m:
@@ -153,32 +155,48 @@ def _forest_lawson_hanson(z, pi, ci):
                     f"isotonic projection: no solution within {steps - 1} steps")
             adj[p].append(t)
             adj[c].append(t)
+            # hang the smaller tree below t's end in the larger one
+            big, top, low, side = root[p], p, c, 1.0
+            if len(trees.get(big, (big,))) < len(trees.get(root[c], (c,))):
+                big, top, low, side = root[c], c, p, -1.0
+            trees.pop(root[low], None)
+            up[low], via[low], sign[low] = top, t, side
+            hung = [low]
+            for v in hung:  # breadth first; grows while walked
+                root[v] = big
+                e_in = via[v]
+                for e in adj[v]:
+                    if e != e_in:
+                        u = cl[e] if pl[e] == v else pl[e]
+                        up[u], via[u] = v, e
+                        sign[u] = 1.0 if cl[e] == u else -1.0
+                        hung.append(u)
+            trees.setdefault(big, [big]).extend(hung)
             lam[t] = 0.0
-            flow = {}
-            # started in the larger tree, the sum giving lam_t runs over the
-            # smaller one, so its rounding stays far below lam_t itself
-            solve(p if size[p] >= size[c] else c, flow)
-            while True:
-                neg = [e for e, f in flow.items() if f <= 0.0]
-                if not neg:
-                    break
-                first = min(neg, key=lambda e: lam[e] / (lam[e] - flow[e]))
-                alpha = lam[first] / (lam[first] - flow[first])
-                for e, f in flow.items():
-                    lam[e] += alpha * (f - lam[e])
-                lam[first] = 0.0
-                gone = [e for e in flow if lam[e] <= 0.0]
-                for e in gone:
-                    del lam[e], flow[e]
-                    adj[pl[e]].remove(e)
-                    adj[cl[e]].remove(e)
-                seen = set()
-                for e in gone:
-                    for v in (pl[e], cl[e]):
-                        if v not in seen:
-                            seen.update(solve(v, flow))
-            lam.update(flow)
-    return np.array(yl), steps
+            neg = []
+            solve(big, neg)
+            pieces = [big]
+            while neg:
+                first = min(neg, key=lambda e: old[e] / (old[e] - lam[e]))
+                alpha = old[first] / (old[first] - lam[first])
+                for r in pieces[:]:
+                    order, trees[r] = trees[r], [r]
+                    for v in order[1:]:
+                        u, e = up[v], via[v]
+                        lam[e] = x = old[e] + alpha * (lam[e] - old[e])
+                        if x <= 0.0 or e == first:
+                            adj[u].remove(e)
+                            adj[v].remove(e)
+                            root[v] = v
+                            trees[v] = [v]
+                            pieces.append(v)
+                        else:
+                            root[v] = root[u]
+                            trees[root[v]].append(v)
+                neg = []
+                for r in pieces:
+                    solve(r, neg)
+    return np.array(mean)[root], steps
 
 
 def iso_tpr_correct(dag: Dag, levels: Dag, flat,

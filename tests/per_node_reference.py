@@ -9,6 +9,10 @@ match them bit for bit.
 `positive_children` restates the bottom-up positive-set selection for one
 node; `test_tpr.py` checks its membership rules.  `kkt_residual` certifies
 an isotonic projection without the production solver.
+`forest_lawson_hanson` is the isotonic solver that walks each merged tree
+breadth first at every step and keeps every lam in a dict;
+`test_properties.py` requires `isotonic_project` to give its bits on
+continuous rows.
 
 `read_scores_rows`, `fit_fscore_grid` and `fit_percentile_loop` are the
 per-cell scores reader, the per-grid-value F-score fit and the per-class
@@ -25,6 +29,7 @@ descendants through those dicts.
 level plan (its name views and plan arrays) to give what they give.
 """
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -35,6 +40,7 @@ from hde import ScoreMatrix
 from hde._tsv import _records
 from hde.dag import SYNTHETIC_ROOT
 from hde.errors import (
+    ConvergenceError,
     CycleError,
     DagError,
     DuplicateEdgeError,
@@ -44,6 +50,7 @@ from hde.errors import (
     RangeError,
     SelfLoopError,
 )
+from hde.iso import _STEPS_PER_EDGE, _TOL
 from hde.thresholds import ThresholdVector, _class_metrics
 
 from oracles import descendants
@@ -178,6 +185,110 @@ def kkt_residual(dag, z, y, tight_tol=1e-9):
         at[c, j] = 1.0
         at[p, j] = -1.0
     return float(nnls(at, z - y)[1])
+
+
+def forest_lawson_hanson(z, pi, ci):
+    """(y, steps): Lawson-Hanson on the dual, the passive set an edge forest,
+    each tree solved by a breadth-first walk of the whole tree.
+
+    Entering edges come from gap scans.  A scan takes every edge whose
+    y[child] - y[parent] is above 1e-12 and sorts them by that gap,
+    largest first, ties by edge index, so its first pick is the edge with
+    the largest gap.  The scan is then walked in order: an edge is taken
+    only if its current gap is still at least its scanned one, else it
+    waits for the next scan.  Each edge taken is one step: it merges two
+    trees, and if the merged tree's flows are not all positive, the usual
+    step back to the feasible boundary drops the edges whose lam reaches
+    zero, and only the trees that split are solved again.  The solve
+    stops when a scan finds no gap above 1e-12.
+
+    Lawson and Hanson's entering column needs only a positive dual
+    gradient, not the largest (Solving Least Squares Problems, 1974,
+    Lemma 23.17): it gets lam > 0 in the next solve, so every step still
+    lowers the dual objective.  A positive gap also puts its endpoints in
+    different trees, so the passive set stays a forest.  The deferral
+    keeps the path close to largest-gap-first.
+    """
+    n, m = z.size, pi.size
+    zl, pl, cl = z.tolist(), pi.tolist(), ci.tolist()
+    adj = [[] for _ in range(n)]  # forest edges at each node
+    lam = {}  # forest edge -> its dual value, > 0 between steps
+    acc = [0.0] * n  # scratch: sum of z - mean below a node
+    yl = zl[:]  # mean of each node's tree
+    size = [1] * n  # node count of each node's tree
+
+    def solve(start, flow):
+        """start's tree, with its mean and size set in `yl` and `size`;
+        its edges' lam go into `flow`."""
+        order, via = [start], [-1]  # breadth first; grows while walked
+        for v, e_in in zip(order, via):
+            for e in adj[v]:
+                if e != e_in:
+                    order.append(cl[e] if pl[e] == v else pl[e])
+                    via.append(e)
+        k = len(order)
+        mean = math.fsum([zl[v] for v in order]) / k
+        for j in range(k - 1, 0, -1):
+            v, e = order[j], via[j]
+            yl[v] = mean
+            size[v] = k
+            s = zl[v] - mean + acc[v]
+            acc[v] = 0.0
+            if cl[e] == v:
+                flow[e] = s
+                acc[pl[e]] += s
+            else:
+                flow[e] = -s
+                acc[cl[e]] += s
+        yl[start] = mean
+        size[start] = k
+        acc[start] = 0.0
+        return order
+
+    steps = 0
+    while m:
+        y = np.array(yl)
+        w = y[ci] - y[pi]
+        scan = np.flatnonzero(w > _TOL)
+        if not scan.size:
+            break
+        scan = scan[np.argsort(-w[scan], kind="stable")]
+        for t, gap in zip(scan.tolist(), w[scan].tolist()):
+            p, c = pl[t], cl[t]
+            if yl[c] - yl[p] < gap:
+                continue
+            steps += 1
+            if steps > _STEPS_PER_EDGE * m:
+                raise ConvergenceError(
+                    f"isotonic projection: no solution within {steps - 1} steps")
+            adj[p].append(t)
+            adj[c].append(t)
+            lam[t] = 0.0
+            flow = {}
+            # started in the larger tree, the sum giving lam_t runs over the
+            # smaller one, so its rounding stays far below lam_t itself
+            solve(p if size[p] >= size[c] else c, flow)
+            while True:
+                neg = [e for e, f in flow.items() if f <= 0.0]
+                if not neg:
+                    break
+                first = min(neg, key=lambda e: lam[e] / (lam[e] - flow[e]))
+                alpha = lam[first] / (lam[first] - flow[first])
+                for e, f in flow.items():
+                    lam[e] += alpha * (f - lam[e])
+                lam[first] = 0.0
+                gone = [e for e in flow if lam[e] <= 0.0]
+                for e in gone:
+                    del lam[e], flow[e]
+                    adj[pl[e]].remove(e)
+                    adj[cl[e]].remove(e)
+                seen = set()
+                for e in gone:
+                    for v in (pl[e], cl[e]):
+                        if v not in seen:
+                            seen.update(solve(v, flow))
+            lam.update(flow)
+    return np.array(yl), steps
 
 
 def _rows_in_range(rows, linenos):

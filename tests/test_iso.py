@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -14,6 +15,9 @@ from hde import (
     isotonic_project,
 )
 
+import hde.iso
+from hde.dag import edge_index_arrays
+from hde.errors import ConvergenceError
 from hde.tpr import _bottom_up_matrix
 
 from conftest import (
@@ -111,6 +115,22 @@ class TestIsotonicProject:
                 assert kkt_residual(dag, z, sol.values) <= 1e-9
                 assert not check_valid_continuous(dag, sol.values, eps=0.0)
                 assert sol.iterations <= 3 * len(dag.edges)
+
+    def test_step_cap_raises_mid_solve(self, monkeypatch):
+        """With the cap at a quarter step per edge, a deep narrow row that
+        needs more steps stops once the cap is passed, mid-solve."""
+        rng = np.random.default_rng(65)
+        dag = deep_narrow_dag(rng, 300)
+        lv = compute_levels(dag)
+        cfg = TprConfig(positive_selection="adaptive")
+        z = _bottom_up_matrix(dag, lv, rng.uniform(size=(1, len(dag))), cfg)[0]
+        steps = isotonic_project(dag, z).iterations
+        monkeypatch.setattr(hde.iso, "_STEPS_PER_EDGE", 0.25)
+        cap = math.floor(0.25 * edge_index_arrays(dag)[0].size)
+        assert 0 < cap < steps
+        with pytest.raises(ConvergenceError, match=(
+                rf"^isotonic projection: no solution within {cap} steps$")):
+            isotonic_project(dag, z)
 
     def test_feasibility(self):
         rng = np.random.default_rng(52)

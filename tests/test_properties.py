@@ -7,8 +7,12 @@ that numpy's pairwise sum adds in one unrolled step.  For HTD, TPR
 and ISO-TPR: output in [0, 1] with no violation at eps 0, HTD
 idempotent, and the isotonic projection no farther from its input than
 HTD's correction of it and certified optimal by its KKT residual.  HTD
-gives a row the same bits alone as in a batch.
+gives a row the same bits alone as in a batch.  On those taxonomies and on
+deep narrow ones, the isotonic solver gives the reference solver's bits on
+continuous rows.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,11 +26,14 @@ from hde import (
     htd_correct,
     htd_correct_matrix,
     iso_tpr_correct_matrix,
+    isotonic_project,
     tpr_correct_matrix,
 )
+import hde.iso
 from hde.tpr import _bottom_up_matrix
 
-from per_node_reference import kkt_residual
+from conftest import deep_narrow_dag
+from per_node_reference import forest_lawson_hanson, kkt_residual
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
                              derandomize=True, database=None)
@@ -44,6 +51,16 @@ def wide_taxonomies(draw):
     for i in draw(st.lists(st.integers(1, n - 1), max_size=n)):
         edges.add((draw(st.integers(0, i - 1)), i))
     dag = build_dag([(f"n{p}", f"n{c}") for p, c in sorted(edges)])
+    return dag, compute_levels(dag)
+
+
+@st.composite
+def deep_narrow_taxonomies(draw):
+    """(dag, levels): `conftest.deep_narrow_dag` of 2 to 160 nodes, levels
+    of 1 to 4 nodes with skip edges, where the step back drops edges most
+    often."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dag = deep_narrow_dag(rng, draw(st.integers(2, 160)))
     return dag, compute_levels(dag)
 
 
@@ -114,3 +131,37 @@ def test_iso_is_consistent_and_no_farther_than_htd(taxonomy, seed, pick):
     htd = htd_correct_matrix(dag, lv, z)
     assert ((iso - z) ** 2).sum() <= ((htd - z) ** 2).sum() + 1e-12
     assert kkt_residual(dag, z[0], iso[0]) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(taxonomy=st.one_of(wide_taxonomies(), deep_narrow_taxonomies()),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_iso_matches_reference_solver(taxonomy, seed):
+    """`isotonic_project` against the same projection with the reference
+    solver, which walks each merged tree breadth first: the same bits and
+    steps on uniform and bottom-up rows.  On tied rows (tenths, and
+    {0, 1/2, 1}) the order in which lam is summed can move an exact zero
+    flow, so the steps may differ; the values stay within one ulp, and
+    both are certified optimal."""
+    dag, lv = taxonomy
+    rng = np.random.default_rng(seed)
+    flat = rng.uniform(size=(1, len(dag)))
+    adaptive = TprConfig(positive_selection="adaptive")
+    rows = [(flat[0], True),
+            (_bottom_up_matrix(dag, lv, flat, adaptive)[0], True),
+            (flat[0].round(1), False),
+            (rng.choice([0.0, 0.5, 1.0], size=len(dag)), False)]
+    for z, continuous in rows:
+        got = isotonic_project(dag, z)
+        with mock.patch.object(hde.iso, "_forest_lawson_hanson",
+                               forest_lawson_hanson):
+            want = isotonic_project(dag, z)
+        if continuous:
+            assert np.array_equal(got.values.view(np.int64),
+                                  want.values.view(np.int64))
+            assert got.iterations == want.iterations
+        else:
+            assert (np.abs(got.values - want.values)
+                    <= np.spacing(np.abs(want.values))).all()
+            assert kkt_residual(dag, z, got.values) <= 1e-9
+            assert kkt_residual(dag, z, want.values) <= 1e-9
