@@ -2,8 +2,8 @@
 
 Subcommands: correct, levels, validate, fit-thresholds, eval.  Each returns
 its exit code and its output's writer, which `main` runs on -o or stdout.
-Exit codes: 0 success/valid, 1 validation failure, 2 I/O or parse error,
-3 parameter error, 4 convergence error.  Errors go to stderr as one
+Exit codes: 0 success/valid, 1 validation failure, 2 I/O or parse error
+(or out of memory), 3 parameter error, 4 convergence error.  Errors go to stderr as one
 machine-parsable line (`E_IO: ...`, `E_PARAM: ...`, `E_CONVERGENCE: ...`),
 a warning as one `W_...` line (`W_NO_POSITIVES: ...` from a percentile fit).
 """
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
         return 4
     except (HdeError, OSError, UnicodeEncodeError) as exc:
         print(f"E_IO: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("E_IO: out of memory", file=sys.stderr)
         return 2
 
 

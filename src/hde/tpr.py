@@ -68,14 +68,20 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
 
     Per level of the plan (children or descendants), deepest first: one
     gather of every run's cells, `(cells,)` for one row and `(cells, R)`
-    for R rows, one compare and one multiply by the mask, and `_run_sums`
-    adds up each run's count of positives and value sum, grouped by the
-    plan's `owners`: one row counts with `np.bincount`, exact in any
-    order, and keeps `reduceat` for the value sums and linear weights,
-    whose bits depend on the order.  A run starts with the sentinel slot,
-    index n: row n of the working copy holds 0.0 and the mask is cleared
-    at every run start, so whatever the owner's score the slot is in no
-    positive set and adds one leading 0.0 to each sum.
+    for R rows, one compare, one multiply by the mask, and two sums per
+    run, of its positives' weights (1 each, or the linear decay) and of
+    their values.  R rows add both with `np.bincount` over each cell's
+    owner * R + column, which adds every run's cells in order.  One row
+    counts with `np.bincount` over the owners, exact in any order, and
+    keeps `np.add.reduceat` from the run starts for the value sums and
+    linear weights, whose bits depend on the order: it adds a run led by
+    0.0 as `run.sum()` does.  `test_plan.py` pins these numpy rules.  A
+    run starts with the sentinel slot, index n: row n of the working copy
+    holds 0.0, so the slot adds a leading 0.0 to each sum, and it is in
+    no positive set, whatever the owner's score, because the mask is
+    cleared at every run start or, in `descendants-linear`, the slot's
+    weight is 0.0.  What a level needs depends only on `cfg` and the
+    number of rows, so that is decided once, before the loop.
     """
     t = None
     if cfg.thresholds is not None:
@@ -85,53 +91,49 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
             raise AlignmentError(
                 "threshold vector not aligned with the taxonomy")
         t = np.append(t, 0.0)
+    adaptive = cfg.positive_selection == "adaptive"
+    linear = cfg.descendant_mode == "descendants-linear"
     up = (levels.up if cfg.descendant_mode == "children"
           else levels.descendants)
-    linear = cfg.descendant_mode == "descendants-linear"
-    rows = flat.shape[1:]  # () for one row, (R,) for R rows
-    per_cell = (..., *[None] * len(rows))  # broadcast over rows
-    out = np.concatenate([flat, np.zeros((1, *rows))])
+    many = flat.ndim == 2
+    if many:
+        R = flat.shape[1]
+        cols = np.arange(R)
+    out = np.concatenate([flat, np.zeros((1, *flat.shape[1:]))])
     for ni, midx, starts, owner, *weights in up:
-        vals = out[midx]  # cells (x rows)
-        own = flat[ni]
-        if cfg.positive_selection == "threshold":
-            mask = vals > t[midx][per_cell]
+        if many:
+            vals, own = out.take(midx, axis=0), flat.take(ni, axis=0)
+            mask = vals > (own.take(owner, axis=0) if adaptive
+                           else t[midx][:, None])
         else:
-            mask = vals > own[owner]
-        mask[starts] = False  # the sentinel, whatever the owner's score
+            vals, own = out[midx], flat[ni]
+            mask = vals > (own[owner] if adaptive else t[midx])
         if linear:
-            mask = mask * weights[0][per_cell]
+            mask = mask * (weights[0][:, None] if many else weights[0])
+        else:
+            mask[starts] = False
         vals *= mask  # each cell's share of its owner's value sum
-        # each cell's bincount index: its owner for one row, and
-        # owner * R + column for R rows
-        cells = (owner if not rows
-                 else (owner[:, None] * rows[0] + np.arange(rows[0])).ravel())
-        wsum = _run_sums(mask, starts, cells)
-        vsum = _run_sums(vals, starts, cells)
+        if many:
+            cells = ((owner * R)[:, None] + cols).ravel()
+            wsum = np.bincount(cells, mask.ravel(), len(ni) * R).reshape(-1, R)
+            vsum = np.bincount(cells, vals.ravel(), len(ni) * R).reshape(-1, R)
+        else:
+            wsum = (np.add.reduceat(mask, starts) if linear
+                    else np.bincount(owner, mask, len(ni)))
+            vsum = np.add.reduceat(vals, starts)
         if cfg.w is None:
-            out[ni] = (own + vsum) / (1.0 + wsum)
+            # in place, with the bits of (own + vsum) / (1.0 + wsum): IEEE
+            # addition commutes
+            vsum += own
+            wsum += 1.0
+            vsum /= wsum
+            out[ni] = vsum
         else:
             # empty positive set: the children term vanishes entirely
             safe = np.where(wsum > 0, wsum, 1.0)
             out[ni] = np.where(
                 wsum > 0, cfg.w * own + (1.0 - cfg.w) * vsum / safe, own)
     return out[:-1]
-
-
-def _run_sums(x, starts, cells):
-    """Each run's sum of `x`: (nodes,) for one row, (nodes, R) for R rows.
-
-    A float row: `np.add.reduceat` from each run's start, which adds a run
-    that starts with 0.0 as `run.sum()` does (numpy's pairwise sum).
-    Otherwise `np.bincount` over `cells`, each cell's owner (one row) or
-    owner * R + column (R rows): it adds every run's cells in order, and
-    counts a boolean row exactly, as reduceat does, in less time.
-    `test_plan.py` pins these numpy rules.
-    """
-    if x.ndim == 1 and x.dtype != bool:
-        return np.add.reduceat(x, starts)
-    return np.bincount(cells, x.ravel(), x[0].size * len(starts)).reshape(
-        len(starts), *x.shape[1:])
 
 
 def _bottom_up_matrix(dag: Dag, levels: Dag, flat: np.ndarray,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dag
 from hde import (
+    Dag,
     ScoreMatrix,
     build_dag,
     evaluate,
@@ -190,6 +191,22 @@ class TestCorrect:
         assert code == 4
         lines = capsys.readouterr().err.splitlines()
         assert [l.startswith("E_CONVERGENCE:") for l in lines] == [True]
+
+    def test_out_of_memory_is_io_error(self, fx, capsys, monkeypatch):
+        # a descendant plan too big for memory: one E_IO line, exit 2, and
+        # the -o target as it was
+        def oom(dag):
+            raise MemoryError
+        monkeypatch.setattr(Dag, "descendants", property(oom))
+        out = fx / "out.tsv"
+        out.write_text("old\n", encoding="utf-8")
+        code = run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "scores.tsv", "--method", "tpr-desc-lin",
+                   "--adaptive", "-o", out)
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_"), lines
+        assert out.read_bytes() == b"old\n"
 
     def test_nan_in_thresholds_file_is_io_error(self, fx, capsys):
         # like a NaN score, a NaN threshold is a bad input value

@@ -266,7 +266,7 @@ def test_plan_down_levels_cut_the_edge_list(case):
 
 @pytest.mark.parametrize("rows", [1, 2, 50])
 def test_numpy_run_sums_keep_bits(rows):
-    """The numpy rules `tpr._run_sums` relies on.  One row: a 1-D
+    """The numpy rules of the run sums in `tpr._bottom_up`.  One row: a 1-D
     `np.add.reduceat` over runs that each start with 0.0 gives every run
     the bits of `run.sum()`, for run lengths 1-600, across numpy's
     128-cell pairwise block.  R rows: `np.bincount` over
@@ -286,8 +286,8 @@ def test_numpy_run_sums_keep_bits(rows):
         assert same_bits(np.add.reduceat(x, starts),
                          np.array([run.sum() for run in runs])), (
             "numpy's 1-D reduceat no longer adds a run led by 0.0 as "
-            "run.sum() does, so one-row TPR (tpr._run_sums in "
-            "tpr._bottom_up) changes its bits")
+            "run.sum() does, so one-row TPR's value sums and linear "
+            "weights (tpr._bottom_up) change their bits")
         return
     src = cells(400, rows)
     for k in range(1, 140):
@@ -307,8 +307,8 @@ def test_numpy_run_sums_keep_bits(rows):
             assert same_bits(got.reshape(nb, rows), want), (
                 f"k={k}, {rows} rows: numpy's bincount over owner * R + "
                 f"column no longer adds each run as {rule} does, so "
-                "many-row TPR (tpr._run_sums in tpr._bottom_up) changes "
-                "its bits")
+                "many-row TPR's run sums (tpr._bottom_up) change their "
+                "bits")
 
 
 @pytest.mark.parametrize("draw", ["ties", "uniform"])
@@ -337,7 +337,7 @@ def test_numpy_minimum_at_folds_and_bincount_counts(draw):
                      np.add.reduceat(mask, offsets, dtype=np.float64)), (
         "numpy's bincount over owners no longer counts a boolean mask as "
         "add.reduceat does, so one-row TPR's positive counts "
-        "(tpr._run_sums in tpr._bottom_up) change their bits")
+        "(tpr._bottom_up) change their bits")
     for rows, step in (((), 1), ((2,), 1), ((7,), 1), ((64,), 8)):
         lengths = rng.permutation(np.arange(1, 601, step))
         k, cells = len(lengths), lengths.sum()

@@ -97,10 +97,12 @@ def test_htd_and_tpr_are_consistent(taxonomy, rows, seed):
 @given(taxonomy=wide_taxonomies(), rows=st.sampled_from([2, 7, 64]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_htd_row_has_its_batch_bits(taxonomy, rows, seed):
-    """A row corrected alone (`np.minimum.at` per level) and inside a batch
-    (`np.minimum.reduceat`) gets the same bits: a minimum is exact, and
-    both rules keep the same zero of a -0.0/0.0 tie.  Half the scores are
-    drawn from {-0.0, 0.0, 0.5, 1.0}, so ties are everywhere."""
+    """A row corrected alone and inside a batch gets the same bits: both
+    shapes run one rule, `np.minimum.at` of the parents' rows into the
+    kids' rows along each level's edges, which folds every column on its
+    own, in edge order.  Half the scores are drawn from
+    {-0.0, 0.0, 0.5, 1.0}, so ties are everywhere, and a -0.0/0.0 tie
+    must keep the same zero in both."""
     dag, lv = taxonomy
     rng = np.random.default_rng(seed)
     flat = rng.uniform(size=(rows, len(dag)))
