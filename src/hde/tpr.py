@@ -77,11 +77,10 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
     linear weights, whose bits depend on the order: it adds a run led by
     0.0 as `run.sum()` does.  `test_plan.py` pins these numpy rules.  A
     run starts with the sentinel slot, index n: row n of the working copy
-    holds 0.0, so the slot adds a leading 0.0 to each sum, and it is in
-    no positive set, whatever the owner's score, because the mask is
-    cleared at every run start or, in `descendants-linear`, the slot's
-    weight is 0.0.  What a level needs depends only on `cfg` and the
-    number of rows, so that is decided once, before the loop.
+    holds 0.0 and the mask is cleared at every run start, so whatever the
+    owner's score the slot is in no positive set and adds one leading 0.0
+    to each sum.  What a level needs depends only on `cfg` and the number
+    of rows, so that is decided once, before the loop.
     """
     t = None
     if cfg.thresholds is not None:
@@ -108,26 +107,20 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
         else:
             vals, own = out[midx], flat[ni]
             mask = vals > (own[owner] if adaptive else t[midx])
+        mask[starts] = False  # the sentinel, whatever the owner's score
         if linear:
             mask = mask * (weights[0][:, None] if many else weights[0])
-        else:
-            mask[starts] = False
         vals *= mask  # each cell's share of its owner's value sum
         if many:
             cells = ((owner * R)[:, None] + cols).ravel()
-            wsum = np.bincount(cells, mask.ravel(), len(ni) * R).reshape(-1, R)
-            vsum = np.bincount(cells, vals.ravel(), len(ni) * R).reshape(-1, R)
+            wsum, vsum = (np.bincount(cells, x.ravel(), len(ni) * R)
+                          .reshape(len(ni), R) for x in (mask, vals))
         else:
             wsum = (np.add.reduceat(mask, starts) if linear
                     else np.bincount(owner, mask, len(ni)))
             vsum = np.add.reduceat(vals, starts)
         if cfg.w is None:
-            # in place, with the bits of (own + vsum) / (1.0 + wsum): IEEE
-            # addition commutes
-            vsum += own
-            wsum += 1.0
-            vsum /= wsum
-            out[ni] = vsum
+            out[ni] = (own + vsum) / (1.0 + wsum)
         else:
             # empty positive set: the children term vanishes entirely
             safe = np.where(wsum > 0, wsum, 1.0)

@@ -192,6 +192,20 @@ class TestCorrect:
         lines = capsys.readouterr().err.splitlines()
         assert [l.startswith("E_CONVERGENCE:") for l in lines] == [True]
 
+    @pytest.mark.parametrize("method", [
+        ["htd"], ["tpr", "--adaptive"], ["tpr-w", "--threshold", "0.5",
+                                         "--w", "0.3"],
+        ["tpr-desc-const", "--threshold", "0.5"],
+        ["tpr-desc-lin", "--adaptive"], ["iso-tpr", "--adaptive"]],
+        ids=lambda m: m[0])
+    def test_header_only_scores_give_header_only_output(self, fx, method):
+        (fx / "empty.tsv").write_text("example\tr\ta\tb\tc\n")
+        out = fx / "out.tsv"
+        assert run("correct", "--dag", fx / "dag.tsv", "--scores",
+                   fx / "empty.tsv", "--method", *method, "-o", out) == 0
+        m = read_scores(out)
+        assert m.values.shape == (0, 4) and m.example_ids == []
+
     def test_out_of_memory_is_io_error(self, fx, capsys, monkeypatch):
         # a descendant plan too big for memory: one E_IO line, exit 2, and
         # the -o target as it was

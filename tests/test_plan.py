@@ -149,6 +149,18 @@ def test_tpr_variants_match_reference(case, rows):
     _assert_tpr_variants_match(dag, lv, y, rng.uniform(size=len(dag)))
 
 
+def test_zero_rows_give_an_empty_matrix():
+    """A (0, n) matrix, as a header-only scores file reads: every variant
+    returns a (0, n) float matrix."""
+    dag, lv = DAGS[0]
+    y = np.empty((0, len(dag)))
+    for kw, cfg in _configs(np.full(len(dag), 0.5)):
+        for out in (tpr_correct_matrix(dag, lv, y, cfg),
+                    _bottom_up_matrix(dag, lv, y, cfg)):
+            assert out.shape == y.shape and out.dtype == np.float64, kw
+    assert htd_correct_matrix(dag, lv, y).shape == y.shape
+
+
 @pytest.mark.parametrize("rows", [1, 12])
 @pytest.mark.parametrize("case", range(len(DAGS)))
 def test_signed_zeros_and_ties_match_reference(case, rows):
