@@ -5,8 +5,9 @@ A file is UTF-8; a leading byte-order mark is dropped.  A line ends at a
 line feed (text mode also ends it at a carriage return) and is kept
 unless it is blank or, after any leading blanks, starts with `#`: a
 comment, whose text follows the `#` and one optional space.  `_records`
-streams a score or threshold table by this rule, faster than reading it
-whole; `_kept_lines` splits a whole edge list, faster than streaming it.
+streams a score or threshold table by this rule; reading the table whole
+is no faster, and a streaming line source is what reading in row blocks
+needs.  `_kept_lines` splits a whole edge list, faster than streaming it.
 """
 
 from __future__ import annotations

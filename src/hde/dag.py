@@ -17,6 +17,7 @@ import numpy as np
 
 from ._tsv import _emit, _kept_lines, _storable
 from .errors import (
+    AlignmentError,
     CycleError,
     DagError,
     DuplicateEdgeError,
@@ -273,12 +274,18 @@ def _named_groups(nodes, key, value, n):
     return [tuple(map(name, flat[a:b])) for a, b in zip(at, at[1:])]
 
 
-def edge_index_arrays(dag: Dag):
-    """(parent_indices, child_indices) int arrays, one entry per edge.
-
-    Kept by the Dag and shared, so the arrays are read-only.
-    """
-    return dag._pi, dag._ci
+def _scores(dag: Dag, values, row: bool = False) -> np.ndarray:
+    """`values` as float64 scores for `dag`: an (R, n) matrix, a 1-D row
+    read as one row, or with `row` only the (n,) row itself.  Any other
+    shape is an AlignmentError; every score entry point checks here."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(dag)
+    if values.shape == (n,):
+        return values if row else values[None]
+    if row or values.ndim != 2 or values.shape[1] != n:
+        raise AlignmentError(f"scores of shape {values.shape} for a "
+                             f"{n}-node taxonomy")
+    return values
 
 
 def _runs(level, owner, member, weight=None):

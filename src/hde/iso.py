@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import Dag, edge_index_arrays
-from .errors import AlignmentError, ConvergenceError
+from .dag import Dag, _scores
+from .errors import ConvergenceError
 from .htd import _row
 from .tpr import TprConfig, _bottom_up_matrix
 
@@ -62,11 +62,8 @@ def isotonic_project(dag: Dag, z) -> IsoSolution:
     pass per level), and the values, clipped to [0, 1], obey the true path
     rule exactly.  `objective` and `residual` describe the raw solve.
     """
-    z = np.asarray_chkfinite(z, dtype=np.float64)
-    if z.shape != (len(dag),):
-        raise AlignmentError(
-            f"row has {z.shape} values for a {len(dag)}-node taxonomy")
-    pi, ci = edge_index_arrays(dag)
+    z = _scores(dag, np.asarray_chkfinite(z, dtype=np.float64), row=True)
+    pi, ci = dag._pi, dag._ci
     y, steps = _forest_lawson_hanson(z, pi, ci)
     residual = float((y[ci] - y[pi]).max(initial=0.0))
     objective = float(((z - y) ** 2).sum())

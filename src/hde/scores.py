@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._tsv import _emit, _parse_cells, _records, _write_rows
-from .dag import Dag, edge_index_arrays
+from .dag import Dag, _scores
 from .errors import (
     AlignmentError,
     MissingClassError,
@@ -91,10 +91,7 @@ def check_valid_continuous(dag: Dag, row, eps: float = 0.0) -> ViolationReport:
     `row` is a score vector aligned with `dag.nodes`.  An edge (p, c) is a
     violation when row[c] > row[p] + eps (eps = 0: strict comparison).
     """
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (len(dag),):
-        raise AlignmentError(
-            f"row has {row.shape} values for a {len(dag)}-node taxonomy")
+    row = _scores(dag, row, row=True)
     bad = [v[1:] for v in _violations(dag, row[None], eps)]
     gaps = [cs - ps for _, _, ps, cs in bad]
     return ViolationReport(tuple(bad), len(bad), max([0.0] + gaps))
@@ -102,29 +99,25 @@ def check_valid_continuous(dag: Dag, row, eps: float = 0.0) -> ViolationReport:
 
 def count_violations(dag: Dag, values: np.ndarray, eps: float = 0.0) -> int:
     """Total number of violating (edge, example) pairs in a whole matrix."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     return int(_violation_mask(dag, values, eps).sum())
 
 
 def _violation_mask(dag: Dag, values: np.ndarray, eps: float = 0.0):
     """(rows, edges) mask of child > parent + eps, edges in `dag.edges`
     order: the one statement of the rule that every violation check uses.
-    `values` must be (rows, len(dag)), else AlignmentError.  A non-finite
-    eps is a ValueError: every comparison with NaN is false, so it would
-    pass every row as valid."""
-    if values.ndim != 2 or values.shape[1] != len(dag):
-        raise AlignmentError(f"scores of shape {values.shape} for a "
-                             f"{len(dag)}-node taxonomy")
+    `values` is read by `dag._scores`, which rejects a misshapen array.  A
+    non-finite eps is a ValueError: every comparison with NaN is false, so
+    it would pass every row as valid."""
+    values = _scores(dag, values)
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    pi, ci = edge_index_arrays(dag)
-    return values[:, ci] > values[:, pi] + eps
+    return values[:, dag._ci] > values[:, dag._pi] + eps
 
 
 def _violations(dag: Dag, values: np.ndarray, eps: float = 0.0):
     """Yield (row, parent, child, parent score, child score) for every
     violation in a 2-D score matrix, row by row, in edge order in a row."""
-    pi, ci = edge_index_arrays(dag)
+    pi, ci = dag._pi, dag._ci
     names = dag.nodes
     for i, bad in enumerate(_violation_mask(dag, values, eps)):
         ks = np.flatnonzero(bad)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._tsv import _emit, _parse_cells, _records, _write_rows
-from .dag import Dag, edge_index_arrays
+from .dag import Dag
 from .errors import (
     AlignmentError,
     EmptyGridError,
@@ -199,8 +199,7 @@ def evaluate(dag: Dag, scores: ScoreMatrix, labels: ScoreMatrix,
                              labels.values > 0.5)
 
     v = scores.values
-    pi, ci = edge_index_arrays(dag)
-    gaps = (v[:, ci] - v[:, pi])[_violation_mask(dag, v)]
+    gaps = (v[:, dag._ci] - v[:, dag._pi])[_violation_mask(dag, v)]
     return EvalReport(metrics, v.shape[0], gaps.size,
                       float(gaps.max(initial=0.0)))
 

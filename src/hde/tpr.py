@@ -62,8 +62,7 @@ def _values(thresholds) -> np.ndarray:
                       dtype=np.float64)
 
 
-def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
-               cfg: TprConfig) -> np.ndarray:
+def _bottom_up(dag: Dag, flat: np.ndarray, cfg: TprConfig) -> np.ndarray:
     """Phase B on node-major scores; root values are left untouched.
 
     Per level of the plan (children or descendants), deepest first: one
@@ -92,8 +91,7 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
         t = np.append(t, 0.0)
     adaptive = cfg.positive_selection == "adaptive"
     linear = cfg.descendant_mode == "descendants-linear"
-    up = (levels.up if cfg.descendant_mode == "children"
-          else levels.descendants)
+    up = dag.up if cfg.descendant_mode == "children" else dag.descendants
     many = flat.ndim == 2
     if many:
         R = flat.shape[1]
@@ -132,8 +130,7 @@ def _bottom_up(dag: Dag, levels: Dag, flat: np.ndarray,
 def _bottom_up_matrix(dag: Dag, levels: Dag, flat: np.ndarray,
                       config: TprConfig) -> np.ndarray:
     """Phase B of an (R, n) score matrix, as an (R, n) matrix."""
-    return _row_major(_bottom_up(dag, levels, _check_aligned(dag, levels, flat),
-                                 config))
+    return _row_major(_bottom_up(dag, _check_aligned(dag, levels, flat), config))
 
 
 def tpr_correct_matrix(dag: Dag, levels: Dag, flat: np.ndarray,
@@ -143,7 +140,7 @@ def tpr_correct_matrix(dag: Dag, levels: Dag, flat: np.ndarray,
     Phase C is the HTD sweep applied to the phase-B values.
     """
     flat = _check_aligned(dag, levels, flat)
-    return _row_major(levels.topdown(_bottom_up(dag, levels, flat, config)))
+    return _row_major(dag.topdown(_bottom_up(dag, flat, config)))
 
 
 def tpr_correct(dag: Dag, levels: Dag, flat, config: TprConfig) -> np.ndarray:

@@ -222,6 +222,43 @@ class TestCorrect:
         assert len(lines) == 1 and lines[0].startswith("E_"), lines
         assert out.read_bytes() == b"old\n"
 
+    def test_out_of_memory_under_an_address_space_limit(self, tmp_path):
+        # the same in a child process capped at 200 MB: the descendant
+        # plan of a 6000-node chain, about 18M cells, cannot fit, while
+        # importing numpy and hde takes about 100 MB
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
+        limit = 200 << 20
+
+        def capped(*argv):
+            return subprocess.run(
+                [sys.executable, *argv], cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=str(SRC),
+                         OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+                preexec_fn=lambda: resource.setrlimit(
+                    resource.RLIMIT_AS, (limit, limit)),
+                capture_output=True, text=True, timeout=120)
+
+        if capped("-c", "import hde.cli").returncode:
+            pytest.skip("`import hde.cli` fails under a 200 MB "
+                        "address-space limit")
+        n = 6000
+        (tmp_path / "chain.tsv").write_text(
+            "".join(f"n{i}\tn{i + 1}\n" for i in range(n - 1)))
+        row = "\t0.5" * n
+        (tmp_path / "scores.tsv").write_text(
+            "example" + "".join(f"\tn{i}" for i in range(n)) + "\n"
+            + "".join(f"e{r}{row}\n" for r in range(4)))
+        (tmp_path / "out.tsv").write_text("old\n", encoding="utf-8")
+        proc = capped("-m", "hde.cli", "correct", "--dag", "chain.tsv",
+                      "--scores", "scores.tsv", "--method", "tpr-desc-lin",
+                      "--adaptive", "-o", "out.tsv")
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_"), lines
+        assert (tmp_path / "out.tsv").read_bytes() == b"old\n"
+
     def test_nan_in_thresholds_file_is_io_error(self, fx, capsys):
         # like a NaN score, a NaN threshold is a bad input value
         (fx / "thr.tsv").write_text(THRESHOLDS.replace("c\t0.5", "c\tnan"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hde import (
     htd_correct_matrix,
     iso_tpr_correct,
     iso_tpr_correct_matrix,
+    isotonic_project,
     tpr_correct,
     tpr_correct_matrix,
 )
@@ -126,7 +129,8 @@ def test_row_dag_mismatch(diamond):
     ids=["htd", "tpr", "iso-tpr"])
 def test_row_functions_reject_a_matrix(diamond, correct):
     dag, lv = diamond
-    with pytest.raises(AlignmentError, match="^expected a 1-D score row$"):
+    with pytest.raises(AlignmentError,
+                       match=r"^scores of shape \(1, 4\) for a 4-node taxonomy$"):
         correct(dag, lv, [[0.9, 0.5, 0.7, 0.6]])
 
 
@@ -140,3 +144,47 @@ def test_matrix_functions_reject_three_axes(diamond, correct):
     dag, lv = diamond
     with pytest.raises(AlignmentError, match=r"shape \(2, 2, 4\)"):
         correct(dag, lv, np.full((2, 2, 4), 0.5))
+
+
+# every public function that takes a score array: (function, takes a row)
+SCORE_ENTRIES = {
+    "htd_correct": (htd_correct, True),
+    "htd_correct_matrix": (htd_correct_matrix, False),
+    "tpr_correct": (lambda dag, lv, y: tpr_correct(
+        dag, lv, y, threshold_config(dag)), True),
+    "tpr_correct_matrix": (lambda dag, lv, y: tpr_correct_matrix(
+        dag, lv, y, threshold_config(dag)), False),
+    "iso_tpr_correct": (lambda dag, lv, y: iso_tpr_correct(
+        dag, lv, y, threshold_config(dag)), True),
+    "iso_tpr_correct_matrix": (lambda dag, lv, y: iso_tpr_correct_matrix(
+        dag, lv, y, threshold_config(dag)), False),
+    "isotonic_project": (lambda dag, lv, y: isotonic_project(dag, y), True),
+    "check_valid_continuous": (
+        lambda dag, lv, y: check_valid_continuous(dag, y), True),
+    "count_violations": (lambda dag, lv, y: count_violations(dag, y), False),
+}
+
+
+@pytest.mark.parametrize("entry", SCORE_ENTRIES)
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 4), (), (2, 4)],
+                         ids=["short-row", "narrow-matrix", "3-D", "scalar",
+                              "matrix"])
+def test_one_shape_rule_for_every_score_entry(diamond, entry, shape):
+    """Each entry takes an (R, 4) matrix or a (4,) row, or only the row if
+    it is a row function; every other shape raises the one message."""
+    dag, lv = diamond
+    correct, row = SCORE_ENTRIES[entry]
+    if shape == (2, 4) and not row:
+        correct(dag, lv, np.full(shape, 0.5))
+        return
+    with pytest.raises(AlignmentError, match=(
+            rf"^scores of shape {re.escape(str(shape))} for a 4-node "
+            "taxonomy$")):
+        correct(dag, lv, np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("entry", SCORE_ENTRIES)
+def test_every_score_entry_takes_a_row_list(diamond, entry):
+    dag, lv = diamond
+    correct, _ = SCORE_ENTRIES[entry]
+    correct(dag, lv, [0.9, 0.5, 0.7, 0.6])

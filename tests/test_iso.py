@@ -16,7 +16,6 @@ from hde import (
 )
 
 import hde.iso
-from hde.dag import edge_index_arrays
 from hde.errors import ConvergenceError
 from hde.tpr import _bottom_up_matrix
 
@@ -126,7 +125,7 @@ class TestIsotonicProject:
         z = _bottom_up_matrix(dag, lv, rng.uniform(size=(1, len(dag))), cfg)[0]
         steps = isotonic_project(dag, z).iterations
         monkeypatch.setattr(hde.iso, "_STEPS_PER_EDGE", 0.25)
-        cap = math.floor(0.25 * edge_index_arrays(dag)[0].size)
+        cap = math.floor(0.25 * dag._pi.size)
         assert 0 < cap < steps
         with pytest.raises(ConvergenceError, match=(
                 rf"^isotonic projection: no solution within {cap} steps$")):

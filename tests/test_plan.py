@@ -39,7 +39,6 @@ from hde import (
     tpr_correct,
     tpr_correct_matrix,
 )
-from hde.dag import edge_index_arrays
 from hde.errors import AlignmentError
 from hde.scores import ScoreMatrix
 from hde.tpr import _bottom_up_matrix
@@ -462,8 +461,7 @@ def test_plan_is_not_built_by_compute_levels():
 
 def test_edge_arrays_built_once_per_dag():
     dag, _ = DAGS[1]
-    pi, ci = edge_index_arrays(dag)
-    assert edge_index_arrays(dag)[0] is pi
+    pi, ci = dag._pi, dag._ci
     assert [(dag.nodes[p], dag.nodes[c]) for p, c in zip(pi, ci)] == list(dag.edges)
     with pytest.raises(ValueError):
         pi[0] = 0
